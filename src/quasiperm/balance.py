@@ -53,25 +53,30 @@ def scaled_discrepancy_in(s: SetLike, t: ZnSubset) -> int:
     return abs(n * inter - _mass(s) * t.size)
 
 
-def max_interval_discrepancy(s: SetLike) -> tuple:
-    """(n * D(S), witness interval) with D(S) the max of D_J over all J.
+def profile_discrepancy(g: np.ndarray) -> tuple:
+    """(n * D, witness interval) from a prefix profile g of length n.
 
-    Works through the prefix profile g(j) = n*P(j) - |S|*(j+1); every
-    interval discrepancy is a difference g(b) - g(a), wrapping intervals
-    included via the complement identity D_J = D_{complement(J)}.
+    g(j) = n*P(j) - |S|*(j+1) with P the prefix count of S, so g(n-1) = 0.
+    Every interval discrepancy is a difference g(b) - g(a), wrapping
+    intervals included via the complement identity D_J = D_{complement(J)};
+    the first maximum and the first minimum give the witness.
     """
-    n = s.n
-    w = _weights(s)
-    mass = int(w.sum())
-    prefix = np.cumsum(w)
-    g = n * prefix - mass * np.arange(1, n + 1, dtype=np.int64)
+    n = len(g)
     b = int(np.argmax(g))
     a = int(np.argmin(g))
     value = int(g[b] - g[a])
     if value == 0:
         return 0, CyclicInterval.empty(n)
-    witness = CyclicInterval(n, (a + 1) % n, (b - a) % n)
-    return value, witness
+    return value, CyclicInterval(n, (a + 1) % n, (b - a) % n)
+
+
+def max_interval_discrepancy(s: SetLike) -> tuple:
+    """(n * D(S), witness interval) with D(S) the max of D_J over all J."""
+    n = s.n
+    w = _weights(s)
+    mass = int(w.sum())
+    return profile_discrepancy(
+        n * np.cumsum(w) - mass * np.arange(1, n + 1, dtype=np.int64))
 
 
 def multiple_discrepancy(s: ZnSubset, k: int) -> int:

@@ -3,11 +3,22 @@
 D(sigma) is the maximum over all cyclic intervals I, J of the discrepancy
 of sigma(I) in J.  Everything is exact and n-scaled: the integers reported
 here are n times the usual quantities.
+
+D, the restricted variants d and d' and the sampled lower bound all read
+one prefix table over the doubled positions,
+
+    q[t, j] = n * #{x < t : sigma(x mod n) <= j} - t * (j + 1),  0 <= t <= 2n.
+
+Row L-1 of q[s+1 : s+n+1] - q[s] is the prefix profile of sigma(I) for the
+interval I of length L starting at s, and row L-1 of q[n] - q[n-1::-1] the
+one for the final interval of length L.  Each profile row gives the best J
+through `balance.profile_discrepancy`.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -22,8 +33,12 @@ from .core import (
     ZnSubset,
     image_of_interval,
 )
-from .balance import scaled_discrepancy_in
+from .balance import profile_discrepancy, scaled_discrepancy_in
 from .patterns import pattern_index, profile, standardize
+
+
+# Largest n the exact scans accept: the prefix table then takes about 268 MB.
+MAX_DISCREPANCY_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -46,92 +61,74 @@ def discrepancy_of_pair(sigma: Permutation, i: CyclicInterval,
     return scaled_discrepancy_in(image_of_interval(sigma, i), j.to_subset())
 
 
-def _g_matrix(images: np.ndarray, order: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """g[L-1, j] = n * #{t < L : sigma(order[t]) <= j} - L * (j + 1).
+def _prefix_table(sigma: Permutation) -> np.ndarray:
+    """The (2n+1) x n table q of the module docstring, built in place."""
+    n = sigma.n
+    if n > MAX_DISCREPANCY_SIZE:
+        raise ValueError(f"permutation size {n} exceeds the discrepancy "
+                         f"limit {MAX_DISCREPANCY_SIZE}")
+    q = np.full((2 * n + 1, n), -1, dtype=np.int64)
+    q[0] = 0
+    x = np.arange(2 * n)
+    q[x + 1, np.asarray(sigma.images)[x % n]] += n
+    np.cumsum(q, axis=1, out=q)
+    np.cumsum(q, axis=0, out=q)
+    return q
 
-    Row L-1 encodes every interval discrepancy of the image of the first L
-    positions of `order`: an interval (a+1..b) has n*D = |g[b] - g[a]|, and
-    column n-1 is identically zero so the empty difference is included.
-    """
-    n = len(images)
-    onehot = np.zeros((n, n), dtype=np.int64)
-    onehot[np.arange(n), images[order]] = 1
-    prefix = np.cumsum(np.cumsum(onehot, axis=0), axis=1)
-    return n * prefix - np.outer(np.arange(1, n + 1, dtype=np.int64), jj)
 
-
-def _row_witness(g_row: np.ndarray, n: int) -> tuple:
-    b = int(np.argmax(g_row))
-    a = int(np.argmin(g_row))
-    value = int(g_row[b] - g_row[a])
-    if value == 0:
-        return 0, CyclicInterval.empty(n)
-    return value, CyclicInterval(n, (a + 1) % n, (b - a) % n)
+def _scan(g: np.ndarray) -> tuple:
+    """(max over rows of n * D, first row attaining it, witness J)."""
+    per_len = g.max(axis=1) - g.min(axis=1)
+    row = int(np.argmax(per_len))
+    value, j_wit = profile_discrepancy(g[row])
+    return value, row, j_wit
 
 
 def perm_discrepancy(sigma: Permutation) -> PermDiscrepancyReport:
     """Exact maximum of n * D_J(sigma(I)) over all cyclic intervals I, J.
 
-    O(n^3): for each interval start the image prefix profile is grown one
-    element at a time; wrapping J come for free through the complement
-    identity D_J = D_{complement(J)}.
+    O(n^3) time and O(n^2) memory: one prefix table, then for each start
+    of I one subtraction of a table row gives the profiles of all n
+    lengths.  Wrapping J come for free through the complement identity
+    D_J = D_{complement(J)}.  The first start and the shortest length
+    attaining the maximum give the witness.
     """
+    q = _prefix_table(sigma)
     n = sigma.n
-    images = np.asarray(sigma.images, dtype=np.int64)
-    jj = np.arange(1, n + 1, dtype=np.int64)
+    g = np.empty((n, n), dtype=np.int64)
     best = 0
     best_i = CyclicInterval.empty(n)
     best_j = CyclicInterval.empty(n)
-
     for start in range(n):
-        order = (start + np.arange(n)) % n
-        g = _g_matrix(images, order, jj)
-        per_len = g.max(axis=1) - g.min(axis=1)
-        l_best = int(np.argmax(per_len))
-        if per_len[l_best] > best:
-            value, j_wit = _row_witness(g[l_best], n)
-            best = value
-            best_i = CyclicInterval(n, start, l_best + 1)
-            best_j = j_wit
-
-    d, (wit_di, wit_dj) = _restricted_max(sigma, prefix=True)
-    dp, (wit_dpi, wit_dpj) = _restricted_max(sigma, prefix=False)
-    return PermDiscrepancyReport(n, best, best_i, best_j,
-                                 d, (wit_di, wit_dj), dp, (wit_dpi, wit_dpj))
+        np.subtract(q[start + 1:start + n + 1], q[start], out=g)
+        value, row, j_wit = _scan(g)
+        if value > best:
+            best, best_i, best_j = value, CyclicInterval(n, start, row + 1), j_wit
+    (d, wit_d), (dp, wit_dp) = _restricted_max(q)
+    return PermDiscrepancyReport(n, best, best_i, best_j, d, wit_d, dp, wit_dp)
 
 
-def _restricted_max(sigma: Permutation, prefix: bool) -> tuple:
-    """Max of n * D_J(sigma(I)) with I over initial (or final) intervals.
+def _restricted_max(q: np.ndarray) -> tuple:
+    """((n*d, (I, J)), (n*d', (I, J))): max of n * D_J(sigma(I)) with I over
+    initial respectively final intervals.
 
     The preimage interval is the restricted one; J ranges over everything.
     Restricting J instead would be a different statistic, and only this
     convention satisfies the block-product recursion inequalities.
     """
-    n = sigma.n
-    images = np.asarray(sigma.images, dtype=np.int64)
-    jj = np.arange(1, n + 1, dtype=np.int64)
-    if prefix:
-        order = np.arange(n)
-    else:
-        order = np.arange(n - 1, -1, -1)
-    g = _g_matrix(images, order, jj)
-    per_len = g.max(axis=1) - g.min(axis=1)
-    l_best = int(np.argmax(per_len))
-    value, j_wit = _row_witness(g[l_best], n)
-    if prefix:
-        i_wit = CyclicInterval(n, 0, l_best + 1)
-    else:
-        i_wit = CyclicInterval(n, n - 1 - l_best, l_best + 1)
-    if value == 0:
-        i_wit = CyclicInterval.empty(n)
-    return value, (i_wit, j_wit)
+    n = q.shape[1]
+    d, row, j_d = _scan(q[1:n + 1])
+    dp, row_p, j_dp = _scan(q[n] - q[n - 1::-1])
+    i_d = CyclicInterval(n, 0, row + 1) if d else CyclicInterval.empty(n)
+    i_dp = (CyclicInterval(n, n - 1 - row_p, row_p + 1) if dp
+            else CyclicInterval.empty(n))
+    return (d, (i_d, j_d)), (dp, (i_dp, j_dp))
 
 
 def restricted_discrepancies(sigma: Permutation) -> tuple:
     """(n*d, n*d') with the preimage interval restricted to initial
     respectively final intervals."""
-    d, _ = _restricted_max(sigma, prefix=True)
-    dp, _ = _restricted_max(sigma, prefix=False)
+    (d, _), (dp, _) = _restricted_max(_prefix_table(sigma))
     return d, dp
 
 
@@ -208,18 +205,10 @@ def exclusion_lower_bound(n: int, m: int) -> float:
 
 def sampled_discrepancy_lower_bound(sigma: Permutation, samples: int,
                                     seed: int = 0) -> int:
-    """Lower bound on n * D(sigma) from randomly sampled preimage intervals."""
-    import random
-
+    """Lower bound on n * D(sigma) from randomly sampled preimage interval
+    starts; 0 when samples <= 0."""
     n = sigma.n
     rng = random.Random(seed)
-    images = np.asarray(sigma.images, dtype=np.int64)
-    jj = np.arange(1, n + 1, dtype=np.int64)
-    best = 0
-    for _ in range(samples):
-        start = rng.randrange(n)
-        order = (start + np.arange(n)) % n
-        g = _g_matrix(images, order, jj)
-        per_len = g.max(axis=1) - g.min(axis=1)
-        best = max(best, int(per_len.max()))
-    return best
+    q = _prefix_table(sigma)
+    starts = (rng.randrange(n) for _ in range(samples))
+    return max((_scan(q[s + 1:s + n + 1] - q[s])[0] for s in starts), default=0)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from quasiperm.cli import dispatch
+from quasiperm.permdisc import MAX_DISCREPANCY_SIZE
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +69,17 @@ def test_analyze_perm_sample_mode(capsys, perm_file):
     r = report["results"]
     assert r["mode"] == "sample"
     assert 0 <= r["scaled_D_lower_bound"] <= 4
+    report = run_json(capsys, "analyze-perm", "--perm", perm_file,
+                      "--sample", "0")
+    assert report["results"]["scaled_D_lower_bound"] == 0
+
+
+def test_analyze_perm_over_size_limit_is_invalid_input(tmp_path, capsys):
+    big = tmp_path / "big.txt"
+    big.write_text(" ".join(map(str, range(MAX_DISCREPANCY_SIZE + 1))) + "\n")
+    for extra in ((), ("--sample", "1")):
+        assert dispatch(["analyze-perm", "--perm", str(big), *extra]) == 2
+        assert "invalid input" in capsys.readouterr().err
 
 
 def test_analyze_set(capsys, set_file):

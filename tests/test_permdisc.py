@@ -1,11 +1,14 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasiperm.core import CyclicInterval, Permutation, ZnSubset
 from quasiperm.permdisc import (
+    MAX_DISCREPANCY_SIZE,
     ascent_pairs_across,
     discrepancy_of_pair,
     exclusion_lower_bound,
@@ -57,6 +60,14 @@ def test_restricted_matches_brute_force():
             d, dp = restricted_discrepancies(sigma)
             assert d == brute_restricted_max(sigma, prefix=True)
             assert dp == brute_restricted_max(sigma, prefix=False)
+            rep = perm_discrepancy(sigma)
+            assert (rep.scaled_d, rep.scaled_d_prime) == (d, dp)
+            i_d, j_d = rep.witness_d
+            assert discrepancy_of_pair(sigma, i_d, j_d) == d
+            assert i_d.start == 0
+            i_dp, j_dp = rep.witness_d_prime
+            assert discrepancy_of_pair(sigma, i_dp, j_dp) == dp
+            assert i_dp.length == 0 or i_dp.start + i_dp.length == n
 
 
 def test_restricted_never_exceeds_full():
@@ -138,6 +149,52 @@ def test_sampled_lower_bound_is_a_lower_bound():
         sigma = random_permutation(n, rng.randrange(10 ** 6))
         low = sampled_discrepancy_lower_bound(sigma, samples=8, seed=1)
         assert 0 <= low <= perm_discrepancy(sigma).scaled_D
+        assert sampled_discrepancy_lower_bound(sigma, samples=0) == 0
+        assert sampled_discrepancy_lower_bound(sigma, samples=-3) == 0
         # sampling every start makes it exact
         assert (sampled_discrepancy_lower_bound(sigma, samples=50 * n, seed=2)
                 == perm_discrepancy(sigma).scaled_D)
+
+
+def test_size_limit_raises_before_allocating():
+    sigma = Permutation.identity(MAX_DISCREPANCY_SIZE + 1)
+    tracemalloc.start()
+    try:
+        for call in (perm_discrepancy, restricted_discrepancies,
+                     lambda s: sampled_discrepancy_lower_bound(s, 1)):
+            with pytest.raises(ValueError, match="exceeds"):
+                call(sigma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+small_perms = st.integers(1, 8).flatmap(
+    lambda n: st.permutations(range(n)).map(Permutation))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_perms, st.integers(0, 7), st.integers(0, 7))
+def test_discrepancy_invariant_under_rotation(sigma, a, b):
+    n = sigma.n
+    rotated = Permutation(tuple((sigma((x + a) % n) + b) % n for x in range(n)))
+    scaled = perm_discrepancy(sigma).scaled_D
+    assert scaled == brute_perm_discrepancy(sigma)
+    assert perm_discrepancy(rotated).scaled_D == scaled
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_perms)
+def test_initial_and_final_restrictions_agree(sigma):
+    # the final intervals are the complements of the initial ones, and
+    # D_J(sigma(I)) = D_J(sigma(complement(I)))
+    d, dp = restricted_discrepancies(sigma)
+    assert d == dp == brute_restricted_max(sigma, prefix=True)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_perms, st.integers(0, 20), st.integers(0, 10 ** 6))
+def test_sampled_bound_never_exceeds_discrepancy(sigma, samples, seed):
+    low = sampled_discrepancy_lower_bound(sigma, samples, seed)
+    assert 0 <= low <= brute_perm_discrepancy(sigma)
