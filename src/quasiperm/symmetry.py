@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, inf
 from typing import Optional
 
 from .core import Permutation
-from .patterns import profile
+from .patterns import pattern_index, profile
 
 EXHAUSTIVE_SIZE_LIMIT = 10
+MAX_SEARCH_SIZE = 512
 
 
 class SearchBudgetRequired(ValueError):
@@ -72,13 +73,18 @@ class SymmetrySearchResult:
 def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySearchResult:
     """Backtracking search for all perfectly m-symmetric permutations in S_n.
 
-    Prunes a one-line prefix as soon as any pattern count (for any order
-    up to m) exceeds its target, or can no longer reach it with the index
-    sets that remain.  Counts only ever grow with the prefix, so both
-    prunes are sound.
+    Values are tried in increasing order after the prefix; each value
+    tried is one node.  A prefix is pruned as soon as some pattern count
+    of some order k <= m exceeds its target, or can no longer reach it
+    with the C(n,k) - C(L,k) index sets that remain.  Counts only ever
+    grow with the prefix, so the prune is sound.
     """
     if not 2 <= m <= n:
         raise ValueError("need 2 <= m <= n")
+    if n > MAX_SEARCH_SIZE:
+        raise ValueError(f"n={n} exceeds the search limit {MAX_SEARCH_SIZE}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     if n > EXHAUSTIVE_SIZE_LIMIT and budget is None:
         raise SearchBudgetRequired(
             f"n={n} exceeds the exhaustive limit {EXHAUSTIVE_SIZE_LIMIT}; "
@@ -92,203 +98,189 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
             return SymmetrySearchResult(n, m, [], 0, True)
         targets[mp] = q
 
-    if m == 2:
-        searcher = _PairSearch(n, targets[2], budget)
-    elif m == 3:
-        searcher = _TripleSearch(n, targets[2], targets[3], budget)
-    else:
-        searcher = _GenericSearch(n, m, targets, budget)
-    found, nodes, exhaustive = searcher.run()
+    found, nodes, exhaustive = _Search(n, targets, budget).run()
     found.sort(key=lambda p: p.images)
     return SymmetrySearchResult(n, m, found, nodes, exhaustive)
+
+
+class PrefixCounts:
+    """Pattern counts of every order 2..m in a prefix of a one-line
+    permutation of size n, kept incrementally as values are appended.
+
+    All counts live in one packed integer, `packed`: one field of `width`
+    bits per pattern, ordered by k and then by lexicographic rank.  The
+    occurrences that appending an unused value v would add are packed the
+    same way in ext(v) = diff[0] + ... + diff[v].  An order-k occurrence
+    ending at v is an order-(k-1) occurrence τ of the prefix with exactly
+    r of its values below v, and its pattern is τ with rank r appended, so
+    `diff` holds the per-rank, per-value counts of the order-(k-1)
+    occurrences as a difference array over v.  Appending a adds only the
+    occurrences that end at a: the C(L, k-2) subsets of the prefix
+    followed by a, for each order k.  Removing a subtracts them again.
+    """
+
+    def __init__(self, n: int, m: int):
+        # two spare bits: counts stay below the guard bit of `guards`
+        self.width = max(comb(n, k) for k in range(2, m + 1)).bit_length() + 2
+        self.offsets = {}
+        fields = 0
+        for k in range(2, m + 1):
+            self.offsets[k] = fields
+            fields += factorial(k)
+        self.guards = self.pack([1 << (self.width - 1)] * fields)
+        # per order k, keyed by the argsort of an order-(k-1) occurrence τ:
+        # the unit of τ with rank 0 appended, then (position of the j-th
+        # smallest value, unit of rank j+1 - unit of rank j) for each j
+        tables = []
+        for k in range(2, m + 1):
+            table = {}
+            for tau in itertools.permutations(range(k - 1)):
+                units = [self._unit(k, tuple(t + (t >= r) for t in tau) + (r,))
+                         for r in range(k)]
+                order = tuple(sorted(range(k - 1), key=tau.__getitem__))
+                table[order] = (units[0], tuple(
+                    (order[j], units[j + 1] - units[j]) for j in range(k - 1)))
+            tables.append(table)
+        self._add = self._signed_steps(tables, 1)
+        self._remove = self._signed_steps(tables, -1)
+        self.prefix = []
+        self.packed = 0
+        self.diff = [0] * (n + 1)
+
+    def _unit(self, k: int, pattern: tuple) -> int:
+        return 1 << (self.width * (self.offsets[k] + pattern_index(pattern)))
+
+    def pack(self, fields) -> int:
+        """Fields, in the layout of `packed`, as one integer."""
+        return sum(f << (self.width * i) for i, f in enumerate(fields))
+
+    def counts(self, k: int) -> tuple:
+        """Order-k pattern counts of the prefix, lexicographically indexed."""
+        mask = (1 << self.width) - 1
+        first = self.offsets[k]
+        return tuple((self.packed >> (self.width * (first + i))) & mask
+                     for i in range(factorial(k)))
+
+    def ext(self, v: int) -> int:
+        """The packed counts that appending the unused value v would add."""
+        return sum(self.diff[:v + 1])
+
+    def push(self, a: int, ext_a: int) -> None:
+        """Append the unused value a; ext_a must equal ext(a)."""
+        self.packed += ext_a
+        self._shift(a, self._add)
+        self.prefix.append(a)
+
+    def pop(self, ext_a: int) -> None:
+        """Undo the last push, given the ext_a it was passed."""
+        a = self.prefix.pop()
+        self._shift(a, self._remove)
+        self.packed -= ext_a
+
+    @staticmethod
+    def _signed_steps(tables: list, sign: int) -> tuple:
+        """The steps of `tables` times sign: 1 adds occurrences, -1 removes
+        them.  Orders 2 and 3 are unpacked for the flat loop in _shift."""
+        signed = [{key: (sign * first, tuple((i, sign * step) for i, step in steps))
+                   for key, (first, steps) in table.items()} for table in tables]
+        first, ((_, step),) = signed[0][(0,)]
+        pairs = None
+        if len(signed) > 1:
+            asc_first, ((_, asc_x), (_, asc_a)) = signed[1][(0, 1)]
+            desc_first, ((_, desc_a), (_, desc_x)) = signed[1][(1, 0)]
+            pairs = (asc_first, asc_x, asc_a, desc_first, desc_x, desc_a)
+        return first, step, pairs, signed[2:]
+
+    def _shift(self, a: int, steps: tuple) -> None:
+        """Apply the steps of every occurrence that ends at a.
+
+        Orders 2 and 3 take O(L) steps: the singleton (a) and the pairs
+        (x, a), grouped by whether x < a.  Each higher order k enumerates
+        its C(L, k-2) occurrences."""
+        diff, prefix = self.diff, self.prefix
+        first, step, pairs, higher = steps
+        diff[0] += first
+        diff[a + 1] += step
+        if pairs is None:
+            return
+        asc_first, asc_x, asc_a, desc_first, desc_x, desc_a = pairs
+        lt = 0
+        for x in prefix:
+            if x < a:
+                diff[x + 1] += asc_x
+                lt += 1
+            else:
+                diff[x + 1] += desc_x
+        gt = len(prefix) - lt
+        diff[0] += lt * asc_first + gt * desc_first
+        diff[a + 1] += lt * asc_a + gt * desc_a
+        for k, table in enumerate(higher, start=4):
+            for c in itertools.combinations(prefix, k - 2):
+                vals = c + (a,)
+                first, steps = table[tuple(sorted(range(k - 1), key=vals.__getitem__))]
+                diff[0] += first
+                for i, step in steps:
+                    diff[vals[i] + 1] += step
 
 
 class _BudgetExceeded(Exception):
     pass
 
 
-class _PairSearch:
-    """Prefix search constrained by ascending/descending pair counts."""
+class _Search:
+    """Depth-first search over one-line prefixes with a PrefixCounts state.
 
-    def __init__(self, n: int, t2: int, budget: Optional[int]):
+    The prune is one test on packed integers: with counts `y`, the guard
+    bit of every field survives in (high - y) & (y + low) exactly when
+    every field lies in its [floor, target] window.
+    """
+
+    def __init__(self, n: int, targets: dict, budget: Optional[int]):
         self.n = n
-        self.t2 = t2
-        self.budget = budget
+        self.limit = inf if budget is None else budget
         self.nodes = 0
         self.found = []
-        self.rem_pairs = [comb(n, 2) - comb(L, 2) for L in range(n + 1)]
+        self.used = [False] * n
+        state = self.state = PrefixCounts(n, max(targets))
+        guard = 1 << (state.width - 1)
+
+        def per_pattern(bound):
+            return state.pack([bound(k) for k in targets for _ in range(factorial(k))])
+
+        self.high = per_pattern(lambda k: guard + targets[k])
+        # low[L]: the floors at prefix length L, clamped at zero
+        self.low = [per_pattern(
+            lambda k: guard - max(0, targets[k] - comb(n, k) + comb(L, k)))
+            for L in range(n + 1)]
 
     def run(self) -> tuple:
         try:
-            self._extend([], 0, 0, [False] * self.n)
+            self._extend(0)
             return self.found, self.nodes, True
         except _BudgetExceeded:
             return self.found, self.nodes, False
 
-    def _extend(self, values: list, c01: int, c10: int, used: list) -> None:
-        n, t2 = self.n, self.t2
-        L = len(values)
-        if L == n:
-            self.found.append(Permutation(tuple(values)))
+    def _extend(self, depth: int) -> None:
+        n, state, used = self.n, self.state, self.used
+        if depth == n:
+            self.found.append(Permutation(tuple(state.prefix)))
             return
-        floor = t2 - self.rem_pairs[L + 1]
+        packed, diff = state.packed, state.diff
+        high, low, guards = self.high, self.low[depth + 1], state.guards
+        limit = self.limit
+        ext = 0
         for v in range(n):
+            ext += diff[v]
             if used[v]:
                 continue
             self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
+            if self.nodes > limit:
                 raise _BudgetExceeded
-            lt = sum(1 for x in values if x < v)
-            n01, n10 = c01 + lt, c10 + L - lt
-            if n01 > t2 or n10 > t2 or n01 < floor or n10 < floor:
+            y = packed + ext
+            if ((high - y) & (y + low) & guards) != guards:
                 continue
             used[v] = True
-            values.append(v)
-            self._extend(values, n01, n10, used)
-            values.pop()
+            state.push(v, ext)
+            self._extend(depth + 1)
+            state.pop(ext)
             used[v] = False
-
-
-# order-3 pattern index from the two pair relations and v's rank slot
-_TRIPLE_ASC = (0, 1, 3)   # a < b: v above both, between, below both
-_TRIPLE_DESC = (2, 4, 5)  # a > b: v above both, between, below both
-
-
-class _TripleSearch:
-    """Prefix search constrained by both pair and triple pattern counts."""
-
-    def __init__(self, n: int, t2: int, t3: int, budget: Optional[int]):
-        self.n = n
-        self.t2 = t2
-        self.t3 = t3
-        self.budget = budget
-        self.nodes = 0
-        self.found = []
-        self.rem_pairs = [comb(n, 2) - comb(L, 2) for L in range(n + 1)]
-        self.rem_triples = [comb(n, 3) - comb(L, 3) for L in range(n + 1)]
-
-    def run(self) -> tuple:
-        try:
-            self._extend([], 0, 0, [0] * 6, [False] * self.n)
-            return self.found, self.nodes, True
-        except _BudgetExceeded:
-            return self.found, self.nodes, False
-
-    def _candidate_triple_deltas(self, values: list) -> list:
-        """delta[p][v]: new order-3 occurrences of pattern p if value v is
-        appended, found by classifying every placed pair against v.
-
-        Built with difference arrays so one pass over
-        the pairs serves every candidate value at once.
-        """
-        n = self.n
-        diff = [[0] * (n + 1) for _ in range(6)]
-        L = len(values)
-        for i in range(L):
-            a = values[i]
-            for j in range(i + 1, L):
-                b = values[j]
-                if a < b:
-                    hi, mid, lo = _TRIPLE_ASC
-                    top, bot = b, a
-                else:
-                    hi, mid, lo = _TRIPLE_DESC
-                    top, bot = a, b
-                diff[hi][top + 1] += 1
-                diff[mid][bot + 1] += 1
-                diff[mid][top] -= 1
-                diff[lo][0] += 1
-                diff[lo][bot] -= 1
-        deltas = []
-        for p in range(6):
-            acc = 0
-            row = []
-            d = diff[p]
-            for v in range(n):
-                acc += d[v]
-                row.append(acc)
-            deltas.append(row)
-        return deltas
-
-    def _extend(self, values: list, c01: int, c10: int, c3: list,
-                used: list) -> None:
-        n, t2, t3 = self.n, self.t2, self.t3
-        L = len(values)
-        if L == n:
-            self.found.append(Permutation(tuple(values)))
-            return
-        floor2 = t2 - self.rem_pairs[L + 1]
-        floor3 = t3 - self.rem_triples[L + 1]
-        deltas = self._candidate_triple_deltas(values)
-        for v in range(n):
-            if used[v]:
-                continue
-            self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
-                raise _BudgetExceeded
-            lt = sum(1 for x in values if x < v)
-            n01, n10 = c01 + lt, c10 + L - lt
-            if n01 > t2 or n10 > t2 or n01 < floor2 or n10 < floor2:
-                continue
-            nc3 = [c3[p] + deltas[p][v] for p in range(6)]
-            if any(c > t3 or c < floor3 for c in nc3):
-                continue
-            used[v] = True
-            values.append(v)
-            self._extend(values, n01, n10, nc3, used)
-            values.pop()
-            used[v] = False
-
-
-class _GenericSearch:
-    """Fallback for orders above 3: recount profiles at each extension."""
-
-    def __init__(self, n: int, m: int, targets: dict, budget: Optional[int]):
-        self.n = n
-        self.m = m
-        self.targets = targets
-        self.budget = budget
-        self.nodes = 0
-        self.found = []
-
-    def run(self) -> tuple:
-        try:
-            self._extend([], [False] * self.n)
-            return self.found, self.nodes, True
-        except _BudgetExceeded:
-            return self.found, self.nodes, False
-
-    def _prefix_ok(self, values: list) -> bool:
-        from .patterns import standardize
-
-        L = len(values)
-        for mp, target in self.targets.items():
-            if L < mp:
-                continue
-            counts = {}
-            for a in itertools.combinations(range(L), mp):
-                key = standardize([values[x] for x in a])
-                counts[key] = counts.get(key, 0) + 1
-            remaining = comb(self.n, mp) - comb(L, mp)
-            if any(c > target for c in counts.values()):
-                return False
-            if any(c + remaining < target for c in counts.values()):
-                return False
-        return True
-
-    def _extend(self, values: list, used: list) -> None:
-        if len(values) == self.n:
-            self.found.append(Permutation(tuple(values)))
-            return
-        for v in range(self.n):
-            if used[v]:
-                continue
-            self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
-                raise _BudgetExceeded
-            values.append(v)
-            if self._prefix_ok(values):
-                used[v] = True
-                self._extend(values, used)
-                used[v] = False
-            values.pop()

@@ -34,22 +34,21 @@ def brute_interval_max(s: ZnSubset) -> int:
 def brute_perm_discrepancy(sigma: Permutation) -> int:
     """max over all interval pairs (I, J) of |n |sigma(I)∩J| - |I||J||.
 
-    O(n^4): every preimage window is materialized and checked against
-    every value window.
+    O(n^4): every preimage window I grows one element at a time, and each
+    new element y moves n |sigma(I)∩J| - |I||J| by n [y ∈ J] - |J| for
+    every value window J at once.
     """
     n = sigma.n
-    images = np.array(sigma.images)
-    ls = np.arange(1, n + 1)
+    # step[y, J] = n [y ∈ J] - |J| over the windows J = (start t, length L)
+    ts, ls = np.meshgrid(np.arange(n), np.arange(1, n + 1))
+    ys = np.arange(n)[:, None]
+    step = n * ((ys - ts.ravel()) % n < ls.ravel()) - ls.ravel()
     best = 0
     for start in range(n):
-        ind = np.zeros(n, dtype=np.int64)
-        for li in range(1, n + 1):
-            ind[images[(start + li - 1) % n]] = 1
-            counts = window_count_table(ind)
-            val = int(np.abs(n * counts - li * ls[:, None]).max())
-            if val > best:
-                best = val
-        ind[:] = 0
+        dev = np.zeros(n * n, dtype=np.int64)
+        for li in range(n):
+            dev += step[sigma.images[(start + li) % n]]
+            best = max(best, int(np.abs(dev).max()))
     return best
 
 

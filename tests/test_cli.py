@@ -6,6 +6,7 @@ import pytest
 
 from quasiperm.cli import dispatch
 from quasiperm.permdisc import MAX_DISCREPANCY_SIZE
+from quasiperm.symmetry import MAX_SEARCH_SIZE
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +122,14 @@ def test_search_symmetric(capsys):
     r = run_json(capsys, "search-symmetric", "--n", "4", "--m", "2")["results"]
     assert "3 0 1 2" in r["found"]
     assert r["exhaustive"] is True
+
+
+def test_search_symmetric_bad_size_or_budget_is_invalid_input(capsys):
+    for extra in (("--n", str(MAX_SEARCH_SIZE + 1), "--m", "2", "--budget", "10"),
+                  ("--n", "2000", "--m", "2", "--budget", "5000"),
+                  ("--n", "9", "--m", "3", "--budget", "-5")):
+        assert dispatch(["search-symmetric", *extra]) == 2
+        assert "invalid input" in capsys.readouterr().err
 
 
 def test_certify(capsys, set_file):

@@ -1,11 +1,16 @@
 import itertools
 import math
+import random
+import tracemalloc
 
 import pytest
 
+from oracles import brute_inversions
 from quasiperm.core import Permutation
-from quasiperm.patterns import patterns_of_order, profile
+from quasiperm.patterns import patterns_of_order, profile, standardize
 from quasiperm.symmetry import (
+    MAX_SEARCH_SIZE,
+    PrefixCounts,
     SearchBudgetRequired,
     divisibility_D,
     h,
@@ -80,9 +85,10 @@ def test_search_generic_order_agrees():
     res = search_perfect(6, 4)
     assert res.found == []
     assert res.exhaustive and res.nodes_explored == 0
-    # the generic backtracker itself, capped (full m=4 search needs n >= 64)
+    # the backtracker at order 4, capped (full m=4 search needs n >= 64)
     res = search_perfect(64, 4, budget=500)
     assert not res.exhaustive
+    assert res.found == [] and res.nodes_explored == 501
 
 
 def test_budget_semantics():
@@ -96,3 +102,82 @@ def test_budget_semantics():
 def test_bad_order():
     with pytest.raises(ValueError):
         search_perfect(4, 1)
+
+
+def test_search_tree_is_pinned():
+    # node counts of the exhaustive searches; the CLI reports them
+    assert search_perfect(5, 2).nodes_explored == 315
+    res = search_perfect(9, 3)
+    assert res.nodes_explored == 597_879 and res.exhaustive
+    assert [p.images for p in res.found] == [(2, 3, 8, 7, 4, 1, 0, 5, 6),
+                                             (6, 5, 0, 1, 4, 7, 8, 3, 2)]
+    for n, m, budget in ((12, 2, 20_000), (13, 2, 200_000), (20, 3, 20_000)):
+        res = search_perfect(n, m, budget)
+        assert res.nodes_explored == budget + 1
+        assert res.found == [] and not res.exhaustive
+
+
+def test_search_n8_matches_inversion_oracle():
+    # perfect 2-symmetry at n = 8 means exactly C(8,2)/2 = 14 inversions
+    res = search_perfect(8, 2)
+    assert res.nodes_explored == 99_856 and res.exhaustive
+    expected = [p for p in itertools.permutations(range(8))
+                if brute_inversions(p) == 14]
+    assert len(expected) == 3836
+    assert [q.images for q in res.found] == expected
+
+
+def test_prefix_counts_match_profile_at_every_depth():
+    rng = random.Random(2024)
+    for _ in range(25):
+        n = rng.randint(1, 12)
+        images = rng.sample(range(n), n)
+        state = PrefixCounts(n, 5)
+
+        def check(length):
+            prefix = standardize(images[:length])
+            for k in range(2, 6):
+                expected = (profile(Permutation(prefix), k).counts if length >= k
+                            else (0,) * math.factorial(k))
+                assert state.counts(k) == expected, (images, length, k)
+
+        exts = []
+        check(0)
+        for length, a in enumerate(images, start=1):
+            exts.append(state.ext(a))
+            state.push(a, exts[-1])
+            check(length)
+        # popping restores every earlier state
+        for length in range(n - 1, -1, -1):
+            state.pop(exts.pop())
+            check(length)
+
+
+def test_search_size_limit_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="search limit"):
+            search_perfect(MAX_SEARCH_SIZE + 1, 2, budget=10)
+        with pytest.raises(ValueError, match="search limit"):
+            search_perfect(2000, 2, budget=5000)
+        with pytest.raises(ValueError, match="nonnegative"):
+            search_perfect(9, 3, budget=-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_search_at_size_limit_completes():
+    n = MAX_SEARCH_SIZE
+    for m in (2, 3):
+        res = search_perfect(n, m, budget=2000)
+        assert res.found == []
+        # C(512,3) is not divisible by 6, so m = 3 ends before the search
+        assert res.nodes_explored == (2001 if m == 2 else 0)
+    # the largest n <= 512 that admits m = 3 runs the order-3 state
+    res = search_perfect(505, 3, budget=2000)
+    assert res.nodes_explored == 2001 and not res.exhaustive
+    # h(5) = 128 is in reach
+    res = search_perfect(h(5), 5, budget=50)
+    assert res.nodes_explored == 51 and not res.exhaustive
