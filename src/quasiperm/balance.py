@@ -84,9 +84,10 @@ def multiple_discrepancy(s: ZnSubset, k: int) -> int:
     n = s.n
     if k % n == 0:
         raise ValueError("k must be nonzero mod n")
-    ks = ZnMultiset.from_elements(n, (k * x % n for x in s.members))
-    value, _ = max_interval_discrepancy(ks)
-    return value
+    members = np.fromiter(s.members, dtype=np.int64, count=s.size)
+    w = np.bincount(k % n * members % n, minlength=n)
+    g = n * np.cumsum(w) - s.size * np.arange(1, n + 1, dtype=np.int64)
+    return int(g.max() - g.min())
 
 
 @dataclass(frozen=True)

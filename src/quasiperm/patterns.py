@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Sequence
 
@@ -18,6 +19,7 @@ import numpy as np
 from .core import Permutation
 
 MAX_PROFILE_ORDER = 6
+MAX_PROFILE_STEPS = 5_000_000
 MAX_MATRIX_ORDER = 5
 
 
@@ -59,38 +61,36 @@ def occurs_at(sigma: Permutation, positions: Iterable[int], tau: Permutation) ->
 
 
 def _inversions(values: Sequence[int]) -> int:
-    """Number of descending pairs, counted with a Fenwick tree."""
+    """Number of descending pairs, counted by a bottom-up merge over values.
+
+    Every pair of values u < w first meets at the level where their
+    blocks of values are the lower and upper halves of one block, and it
+    is inverted when w comes before u.  Values are padded to a power of
+    two with increasing positions past the end, which invert nothing.
+    Each block's positions are sorted at the level below, so one stable
+    sort by (block, position) merges them, and the upper-half positions
+    before a lower-half one are its column in the merged block minus its
+    rank in its own half.
+    """
     n = len(values)
-    tree = [0] * (n + 1)
+    bits = max(n - 1, 0).bit_length()
+    size = 1 << bits
+    positions = np.arange(size)
+    positions[np.asarray(values, dtype=np.intp)] = np.arange(n)
+    index = np.arange(size)
     inv = 0
-    for v in reversed(values):
-        i = v  # count of values already seen that are smaller than v
-        while i > 0:
-            inv += tree[i]
-            i -= i & -i
-        i = v + 1
-        while i <= n:
-            tree[i] += 1
-            i += i & -i
+    for level in range(bits):
+        half = 1 << level
+        order = np.argsort(positions | (index >> (level + 1) << bits), kind="stable")
+        positions = positions[order]
+        columns = np.nonzero((order & half) == 0)[0] & (2 * half - 1)
+        inv += int(columns.sum()) - (size >> (level + 1)) * half * (half - 1) // 2
     return inv
 
 
 def count_pattern(sigma: Permutation, tau: Permutation) -> int:
     """Exact number of occurrences of tau in sigma over all index sets."""
-    m, n = tau.n, sigma.n
-    if m > n:
-        raise ValueError(f"pattern order {m} exceeds host size {n}")
-    if m == 2:
-        inv = _inversions(sigma.images)
-        return comb(n, 2) - inv if tau.images == (0, 1) else inv
-    return profile(sigma, m).counts[pattern_index(tau.images)]
-
-
-def count_pattern_enumerated(sigma: Permutation, tau: Permutation) -> int:
-    """Plain enumeration over all index subsets; oracle for the fast paths."""
-    target = tau.images
-    return sum(1 for a in itertools.combinations(range(sigma.n), tau.n)
-               if standardize([sigma.images[x] for x in a]) == target)
+    return profile(sigma, tau.n).counts[pattern_index(tau.images)]
 
 
 @dataclass(frozen=True)
@@ -114,18 +114,161 @@ class ProfileVector:
 
 
 def profile(sigma: Permutation, m: int) -> ProfileVector:
-    """Counts for all m! patterns in a single pass over the index subsets."""
+    """Counts for all m! patterns, lexicographically indexed.
+
+    Order 2 counts inversions.  Orders m >= 3 push sigma through one
+    PrefixCounts state: O(n^2) steps for orders 2 and 3, plus the
+    C(n, m-1) occurrences that orders 4..m enumerate, which must not
+    exceed MAX_PROFILE_STEPS.
+    """
     n = sigma.n
     if m > n:
         raise ValueError(f"order {m} exceeds host size {n}")
     if m > MAX_PROFILE_ORDER:
         raise ValueError(f"order {m} beyond supported maximum {MAX_PROFILE_ORDER}")
-    index = {p: i for i, p in enumerate(itertools.permutations(range(m)))}
-    counts = [0] * factorial(m)
-    images = sigma.images
-    for a in itertools.combinations(range(n), m):
-        counts[index[standardize([images[x] for x in a])]] += 1
-    return ProfileVector(m, n, tuple(counts))
+    if m <= 1:
+        return ProfileVector(m, n, (comb(n, m),))
+    if m == 2:
+        inv = _inversions(sigma.images)
+        return ProfileVector(m, n, (comb(n, 2) - inv, inv))
+    if comb(n, m - 1) > MAX_PROFILE_STEPS:
+        raise ValueError(f"order-{m} profile of size {n} takes C({n},{m - 1}) steps, "
+                         f"beyond the limit {MAX_PROFILE_STEPS}")
+    state = PrefixCounts(n, m)
+    for a in sigma.images:
+        state.push(a, state.ext(a))
+    return ProfileVector(m, n, state.counts(m))
+
+
+def _field_offset(k: int) -> int:
+    """Index of the first order-k field in PrefixCounts' packed layout."""
+    return sum(factorial(j) for j in range(2, k))
+
+
+def _pack(width: int, fields) -> int:
+    return sum(f << (width * i) for i, f in enumerate(fields))
+
+
+@lru_cache(maxsize=64)
+def _step_tables(width: int, m: int) -> tuple:
+    """The guard bits and the add and remove steps of PrefixCounts(n, m)
+    for every n with this field width.  Built once per (width, m) and only
+    read afterwards, so every state of that shape shares them."""
+
+    def unit(k, pattern):
+        return 1 << (width * (_field_offset(k) + pattern_index(pattern)))
+
+    # per order k, keyed by the argsort of an order-(k-1) occurrence τ:
+    # the unit of τ with rank 0 appended, then (position of the j-th
+    # smallest value, unit of rank j+1 - unit of rank j) for each j
+    tables = []
+    for k in range(2, m + 1):
+        table = {}
+        for tau in itertools.permutations(range(k - 1)):
+            units = [unit(k, tuple(t + (t >= r) for t in tau) + (r,)) for r in range(k)]
+            order = tuple(sorted(range(k - 1), key=tau.__getitem__))
+            table[order] = (units[0], tuple(
+                (order[j], units[j + 1] - units[j]) for j in range(k - 1)))
+        tables.append(table)
+    guards = _pack(width, [1 << (width - 1)] * _field_offset(m + 1))
+    return guards, _signed_steps(tables, 1), _signed_steps(tables, -1)
+
+
+def _signed_steps(tables: list, sign: int) -> tuple:
+    """The steps of `tables` times sign: 1 adds occurrences, -1 removes
+    them.  Orders 2 and 3 are unpacked for the flat loop in _shift."""
+    signed = [{key: (sign * first, tuple((i, sign * step) for i, step in steps))
+               for key, (first, steps) in table.items()} for table in tables]
+    first, ((_, step),) = signed[0][(0,)]
+    pairs = None
+    if len(signed) > 1:
+        asc_first, ((_, asc_x), (_, asc_a)) = signed[1][(0, 1)]
+        desc_first, ((_, desc_a), (_, desc_x)) = signed[1][(1, 0)]
+        pairs = (asc_first, asc_x, asc_a, desc_first, desc_x, desc_a)
+    return first, step, pairs, tuple(signed[2:])
+
+
+class PrefixCounts:
+    """Pattern counts of every order 2..m in a prefix of a one-line
+    permutation of size n, kept incrementally as values are appended.
+
+    All counts live in one packed integer, `packed`: one field of `width`
+    bits per pattern, ordered by k and then by lexicographic rank.  The
+    occurrences that appending an unused value v would add are packed the
+    same way in ext(v) = diff[0] + ... + diff[v].  An order-k occurrence
+    ending at v is an order-(k-1) occurrence τ of the prefix with exactly
+    r of its values below v, and its pattern is τ with rank r appended, so
+    `diff` holds the per-rank, per-value counts of the order-(k-1)
+    occurrences as a difference array over v.  Appending a adds only the
+    occurrences that end at a: the C(L, k-2) subsets of the prefix
+    followed by a, for each order k.  Removing a subtracts them again.
+    """
+
+    def __init__(self, n: int, m: int):
+        # two spare bits: counts stay below the guard bit of `guards`
+        self.width = max(comb(n, k) for k in range(2, m + 1)).bit_length() + 2
+        self.guards, self._add, self._remove = _step_tables(self.width, m)
+        self.prefix = []
+        self.packed = 0
+        self.diff = [0] * (n + 1)
+
+    def pack(self, fields) -> int:
+        """Fields, in the layout of `packed`, as one integer."""
+        return _pack(self.width, fields)
+
+    def counts(self, k: int) -> tuple:
+        """Order-k pattern counts of the prefix, lexicographically indexed."""
+        mask = (1 << self.width) - 1
+        first = _field_offset(k)
+        return tuple((self.packed >> (self.width * (first + i))) & mask
+                     for i in range(factorial(k)))
+
+    def ext(self, v: int) -> int:
+        """The packed counts that appending the unused value v would add."""
+        return sum(self.diff[:v + 1])
+
+    def push(self, a: int, ext_a: int) -> None:
+        """Append the unused value a; ext_a must equal ext(a)."""
+        self.packed += ext_a
+        self._shift(a, self._add)
+        self.prefix.append(a)
+
+    def pop(self, ext_a: int) -> None:
+        """Undo the last push, given the ext_a it was passed."""
+        a = self.prefix.pop()
+        self._shift(a, self._remove)
+        self.packed -= ext_a
+
+    def _shift(self, a: int, steps: tuple) -> None:
+        """Apply the steps of every occurrence that ends at a.
+
+        Orders 2 and 3 take O(L) steps: the singleton (a) and the pairs
+        (x, a), grouped by whether x < a.  Each higher order k enumerates
+        its C(L, k-2) occurrences."""
+        diff, prefix = self.diff, self.prefix
+        first, step, pairs, higher = steps
+        diff[0] += first
+        diff[a + 1] += step
+        if pairs is None:
+            return
+        asc_first, asc_x, asc_a, desc_first, desc_x, desc_a = pairs
+        lt = 0
+        for x in prefix:
+            if x < a:
+                diff[x + 1] += asc_x
+                lt += 1
+            else:
+                diff[x + 1] += desc_x
+        gt = len(prefix) - lt
+        diff[0] += lt * asc_first + gt * desc_first
+        diff[a + 1] += lt * asc_a + gt * desc_a
+        for k, table in enumerate(higher, start=4):
+            for c in itertools.combinations(prefix, k - 2):
+                vals = c + (a,)
+                first, steps = table[tuple(sorted(range(k - 1), key=vals.__getitem__))]
+                diff[0] += first
+                for i, step in steps:
+                    diff[vals[i] + 1] += step
 
 
 @dataclass(frozen=True)
@@ -237,6 +380,6 @@ def lex_first_container(tau: Permutation) -> Permutation:
     """Scan S_{m+1} in lexicographic order for the first pattern containing tau."""
     for images in itertools.permutations(range(tau.n + 1)):
         cand = Permutation(images)
-        if count_pattern_enumerated(cand, tau) > 0:
+        if count_pattern(cand, tau) > 0:
             return cand
     raise RuntimeError("unreachable: every pattern is contained in some extension")

@@ -34,7 +34,7 @@ from .core import (
     image_of_interval,
 )
 from .balance import profile_discrepancy, scaled_discrepancy_in
-from .patterns import pattern_index, profile, standardize
+from .patterns import count_pattern, standardize
 
 
 # Largest n the exact scans accept: the prefix table then takes about 268 MB.
@@ -165,7 +165,7 @@ def windowed_pattern_count(sigma: Permutation, tau: Permutation,
     if len(pos) < tau.n:
         return 0
     restricted = Permutation(standardize([sigma.images[x] for x in pos]))
-    return profile(restricted, tau.n).counts[pattern_index(tau.images)]
+    return count_pattern(restricted, tau)
 
 
 def windowed_pattern_deviation(sigma: Permutation, tau: Permutation,

@@ -7,13 +7,12 @@ so m'! must divide C(n,m') for every such m'.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb, factorial, inf
 from typing import Optional
 
 from .core import Permutation
-from .patterns import pattern_index, profile
+from .patterns import PrefixCounts, profile
 
 EXHAUSTIVE_SIZE_LIMIT = 10
 MAX_SEARCH_SIZE = 512
@@ -46,19 +45,20 @@ def h(m: int, *, cap: int = 1_000_000) -> int:
 
 
 def is_perfect_m_symmetric(sigma: Permutation, m: int) -> bool:
-    """Every order-m' pattern count equals C(n, m')/m'! for all m' <= m."""
+    """Every order-m' pattern count equals C(n, m')/m'! for all m' <= m.
+
+    Uniform order-m counts make every lower order uniform as well (the
+    transfer identity (n-m) v_m = B_m v_{m+1} with constant row sums of
+    B_m), so once the divisibility prerequisites hold, one order-m
+    profile decides.
+    """
     n = sigma.n
     if not 2 <= m <= n:
         raise ValueError("need 2 <= m <= n")
-    for mp in range(2, m + 1):
-        total = comb(n, mp)
-        fact = factorial(mp)
-        if total % fact:
-            return False
-        target = total // fact
-        if any(c != target for c in profile(sigma, mp).counts):
-            return False
-    return True
+    if not all(divisibility_D(n, mp) for mp in range(2, m + 1)):
+        return False
+    target = comb(n, m) // factorial(m)
+    return all(c == target for c in profile(sigma, m).counts)
 
 
 @dataclass
@@ -101,126 +101,6 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
     found, nodes, exhaustive = _Search(n, targets, budget).run()
     found.sort(key=lambda p: p.images)
     return SymmetrySearchResult(n, m, found, nodes, exhaustive)
-
-
-class PrefixCounts:
-    """Pattern counts of every order 2..m in a prefix of a one-line
-    permutation of size n, kept incrementally as values are appended.
-
-    All counts live in one packed integer, `packed`: one field of `width`
-    bits per pattern, ordered by k and then by lexicographic rank.  The
-    occurrences that appending an unused value v would add are packed the
-    same way in ext(v) = diff[0] + ... + diff[v].  An order-k occurrence
-    ending at v is an order-(k-1) occurrence τ of the prefix with exactly
-    r of its values below v, and its pattern is τ with rank r appended, so
-    `diff` holds the per-rank, per-value counts of the order-(k-1)
-    occurrences as a difference array over v.  Appending a adds only the
-    occurrences that end at a: the C(L, k-2) subsets of the prefix
-    followed by a, for each order k.  Removing a subtracts them again.
-    """
-
-    def __init__(self, n: int, m: int):
-        # two spare bits: counts stay below the guard bit of `guards`
-        self.width = max(comb(n, k) for k in range(2, m + 1)).bit_length() + 2
-        self.offsets = {}
-        fields = 0
-        for k in range(2, m + 1):
-            self.offsets[k] = fields
-            fields += factorial(k)
-        self.guards = self.pack([1 << (self.width - 1)] * fields)
-        # per order k, keyed by the argsort of an order-(k-1) occurrence τ:
-        # the unit of τ with rank 0 appended, then (position of the j-th
-        # smallest value, unit of rank j+1 - unit of rank j) for each j
-        tables = []
-        for k in range(2, m + 1):
-            table = {}
-            for tau in itertools.permutations(range(k - 1)):
-                units = [self._unit(k, tuple(t + (t >= r) for t in tau) + (r,))
-                         for r in range(k)]
-                order = tuple(sorted(range(k - 1), key=tau.__getitem__))
-                table[order] = (units[0], tuple(
-                    (order[j], units[j + 1] - units[j]) for j in range(k - 1)))
-            tables.append(table)
-        self._add = self._signed_steps(tables, 1)
-        self._remove = self._signed_steps(tables, -1)
-        self.prefix = []
-        self.packed = 0
-        self.diff = [0] * (n + 1)
-
-    def _unit(self, k: int, pattern: tuple) -> int:
-        return 1 << (self.width * (self.offsets[k] + pattern_index(pattern)))
-
-    def pack(self, fields) -> int:
-        """Fields, in the layout of `packed`, as one integer."""
-        return sum(f << (self.width * i) for i, f in enumerate(fields))
-
-    def counts(self, k: int) -> tuple:
-        """Order-k pattern counts of the prefix, lexicographically indexed."""
-        mask = (1 << self.width) - 1
-        first = self.offsets[k]
-        return tuple((self.packed >> (self.width * (first + i))) & mask
-                     for i in range(factorial(k)))
-
-    def ext(self, v: int) -> int:
-        """The packed counts that appending the unused value v would add."""
-        return sum(self.diff[:v + 1])
-
-    def push(self, a: int, ext_a: int) -> None:
-        """Append the unused value a; ext_a must equal ext(a)."""
-        self.packed += ext_a
-        self._shift(a, self._add)
-        self.prefix.append(a)
-
-    def pop(self, ext_a: int) -> None:
-        """Undo the last push, given the ext_a it was passed."""
-        a = self.prefix.pop()
-        self._shift(a, self._remove)
-        self.packed -= ext_a
-
-    @staticmethod
-    def _signed_steps(tables: list, sign: int) -> tuple:
-        """The steps of `tables` times sign: 1 adds occurrences, -1 removes
-        them.  Orders 2 and 3 are unpacked for the flat loop in _shift."""
-        signed = [{key: (sign * first, tuple((i, sign * step) for i, step in steps))
-                   for key, (first, steps) in table.items()} for table in tables]
-        first, ((_, step),) = signed[0][(0,)]
-        pairs = None
-        if len(signed) > 1:
-            asc_first, ((_, asc_x), (_, asc_a)) = signed[1][(0, 1)]
-            desc_first, ((_, desc_a), (_, desc_x)) = signed[1][(1, 0)]
-            pairs = (asc_first, asc_x, asc_a, desc_first, desc_x, desc_a)
-        return first, step, pairs, signed[2:]
-
-    def _shift(self, a: int, steps: tuple) -> None:
-        """Apply the steps of every occurrence that ends at a.
-
-        Orders 2 and 3 take O(L) steps: the singleton (a) and the pairs
-        (x, a), grouped by whether x < a.  Each higher order k enumerates
-        its C(L, k-2) occurrences."""
-        diff, prefix = self.diff, self.prefix
-        first, step, pairs, higher = steps
-        diff[0] += first
-        diff[a + 1] += step
-        if pairs is None:
-            return
-        asc_first, asc_x, asc_a, desc_first, desc_x, desc_a = pairs
-        lt = 0
-        for x in prefix:
-            if x < a:
-                diff[x + 1] += asc_x
-                lt += 1
-            else:
-                diff[x + 1] += desc_x
-        gt = len(prefix) - lt
-        diff[0] += lt * asc_first + gt * desc_first
-        diff[a + 1] += lt * asc_a + gt * desc_a
-        for k, table in enumerate(higher, start=4):
-            for c in itertools.combinations(prefix, k - 2):
-                vals = c + (a,)
-                first, steps = table[tuple(sorted(range(k - 1), key=vals.__getitem__))]
-                diff[0] += first
-                for i, step in steps:
-                    diff[vals[i] + 1] += step
 
 
 class _BudgetExceeded(Exception):

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from quasiperm.core import CyclicInterval, Permutation, ZnSubset
+from quasiperm.patterns import standardize
 
 
 def window_count_table(indicator: np.ndarray) -> np.ndarray:
@@ -81,6 +82,24 @@ def brute_count_pattern(sigma: Permutation, tau: Permutation) -> int:
         if all(ranked[i] < ranked[i + 1] for i in range(m - 1)):
             total += 1
     return total
+
+
+def count_pattern_enumerated(sigma: Permutation, tau: Permutation) -> int:
+    """Plain enumeration over all index subsets."""
+    target = tau.images
+    return sum(1 for a in itertools.combinations(range(sigma.n), tau.n)
+               if standardize([sigma.images[x] for x in a]) == target)
+
+
+def brute_profile(sigma: Permutation, m: int) -> tuple:
+    """Occurrences of every order-m pattern, the patterns in lexicographic
+    order, by ranking the values of every index subset."""
+    counts = dict.fromkeys(itertools.permutations(range(m)), 0)
+    for pos in itertools.combinations(range(sigma.n), m):
+        vals = [sigma.images[p] for p in pos]
+        ranked = sorted(vals)
+        counts[tuple(ranked.index(v) for v in vals)] += 1
+    return tuple(counts.values())
 
 
 def brute_translation(s: ZnSubset, j: CyclicInterval) -> float:

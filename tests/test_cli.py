@@ -1,10 +1,13 @@
+import itertools
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from quasiperm.cli import dispatch
+from quasiperm.patterns import MAX_PROFILE_STEPS
 from quasiperm.permdisc import MAX_DISCREPANCY_SIZE
 from quasiperm.symmetry import MAX_SEARCH_SIZE
 
@@ -104,6 +107,45 @@ def test_pattern_count(capsys, perm_file):
     r = run_json(capsys, "pattern-count", "--perm", perm_file, "--m", "2",
                  "--pattern", "1 0")["results"]
     assert r["count"] == 0
+
+
+# order-3 and order-4 profiles of 3 6 0 7 2 5 1 4, with centered_norm_sq
+PINNED_PROFILES = {
+    3: ([4, 13, 8, 11, 13, 7], 196, 3),
+    4: ([0, 1, 1, 3, 4, 5, 0, 4, 1, 2, 10, 2, 3, 7, 1, 1, 5, 5, 3, 6, 2, 2, 2, 0],
+        839, 6),
+}
+
+
+def test_pattern_count_orders_3_and_4(capsys, tmp_path):
+    perm = tmp_path / "perm8.txt"
+    perm.write_text("3 6 0 7 2 5 1 4\n")
+    for m, (counts, num, den) in PINNED_PROFILES.items():
+        argv = ("pattern-count", "--perm", str(perm), "--m", str(m))
+        r = run_json(capsys, *argv)["results"]
+        patterns = [list(p) for p in itertools.permutations(range(m))]
+        assert r == {"n": 8, "m": m, "patterns": patterns, "counts": counts,
+                     "centered_norm_sq": {"num": num, "den": den, "float": num / den}}
+        code, out = run_cli(capsys, *argv, "--csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "key,value"
+        assert lines[-len(counts) - 3:] == (
+            [f"counts.{i},{c}" for i, c in enumerate(counts)]
+            + [f"centered_norm_sq.num,{num}", f"centered_norm_sq.den,{den}",
+               f"centered_norm_sq.float,{num / den!r}"])
+        for tau, c in zip(patterns, counts):
+            r = run_json(capsys, *argv, "--pattern", " ".join(map(str, tau)))["results"]
+            assert r == {"n": 8, "m": m, "pattern": tau, "count": c}
+
+
+def test_pattern_count_over_step_limit_is_invalid_input(tmp_path, capsys):
+    n = next(n for n in itertools.count(3) if math.comb(n, 2) > MAX_PROFILE_STEPS)
+    big = tmp_path / "big.txt"
+    big.write_text(" ".join(map(str, range(n))) + "\n")
+    for extra in (("--m", "3"), ("--m", "3", "--pattern", "0 2 1"), ("--m", "4")):
+        assert dispatch(["pattern-count", "--perm", str(big), *extra]) == 2
+        assert "invalid input" in capsys.readouterr().err
 
 
 def test_construct(capsys):

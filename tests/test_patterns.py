@@ -1,17 +1,19 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasiperm.core import Permutation
 from quasiperm.patterns import (
+    MAX_PROFILE_STEPS,
     build_pattern_matrices,
     circ,
     count_pattern,
-    count_pattern_enumerated,
     lex_first_container,
     occurrence_graph_connected,
     pattern_index,
@@ -23,7 +25,7 @@ from quasiperm.patterns import (
 )
 from quasiperm.construct import random_permutation
 
-from oracles import brute_count_pattern
+from oracles import brute_count_pattern, brute_profile, count_pattern_enumerated
 
 
 def test_patterns_of_order_is_lex_sorted():
@@ -50,11 +52,47 @@ def test_count_pattern_matches_enumeration():
     for _ in range(15):
         n = rng.randint(4, 9)
         sigma = random_permutation(n, rng.randrange(10 ** 6))
-        for m in (2, 3):
+        for m in (1, 2, 3, 4):
             for tau in patterns_of_order(m):
                 fast = count_pattern(sigma, tau)
                 assert fast == count_pattern_enumerated(sigma, tau)
                 assert fast == brute_count_pattern(sigma, tau)
+
+
+def test_profile_matches_brute_profile_exhaustive():
+    for n in range(1, 8):
+        for images in itertools.permutations(range(n)):
+            sigma = Permutation(images)
+            for m in range(min(n, 6) + 1):
+                assert profile(sigma, m).counts == brute_profile(sigma, m), (images, m)
+
+
+def test_profile_matches_brute_profile_seeded():
+    for n, m, seed in ((96, 3, 51), (40, 4, 52)):
+        sigma = random_permutation(n, seed)
+        assert profile(sigma, m).counts == brute_profile(sigma, m)
+
+
+def test_profile_step_limit_raises_before_allocating():
+    # the smallest sizes whose order-3 and order-4 profiles pass the limit
+    n3 = next(n for n in itertools.count(3) if math.comb(n, 2) > MAX_PROFILE_STEPS)
+    n4 = next(n for n in itertools.count(4) if math.comb(n, 3) > MAX_PROFILE_STEPS)
+    big3, big4 = Permutation.identity(n3), Permutation.identity(n4)
+    tracemalloc.start()
+    try:
+        for sigma, m in ((big3, 3), (big4, 4), (big3, 4)):
+            with pytest.raises(ValueError, match="beyond the limit"):
+                profile(sigma, m)
+        with pytest.raises(ValueError, match="beyond the limit"):
+            count_pattern(big3, Permutation((0, 2, 1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # one size smaller is admitted; order 2 has no step limit
+    sigma = Permutation.identity(n3 - 1)
+    assert profile(sigma, 3).counts == (math.comb(n3 - 1, 3), 0, 0, 0, 0, 0)
+    assert profile(big4, 2).counts == (math.comb(n4, 2), 0)
 
 
 def test_profile_sums_to_binomial():
@@ -71,6 +109,18 @@ def test_profile_centered_norm():
     # X^{01} = 3, X^{10} = 3, expectation 3 each
     assert prof.centered() == (Fraction(0), Fraction(0))
     assert prof.centered_norm_sq() == 0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(5, 12).flatmap(lambda n: st.permutations(range(n)).map(Permutation)),
+       st.integers(2, 4))
+def test_transfer_identity(sigma, m):
+    # (n - m) v_m = B_m v_{m+1}, exact integers
+    n = sigma.n
+    vm = np.array(profile(sigma, m).counts, dtype=object)
+    vm1 = np.array(profile(sigma, m + 1).counts, dtype=object)
+    b = build_pattern_matrices(m).B.astype(object)
+    assert ((n - m) * vm == b @ vm1).all()
 
 
 def test_matrix_example_m1():
@@ -96,18 +146,6 @@ def test_top_eigenvalue_is_cubed():
 def test_rank_of_B_is_m_factorial():
     for m in (1, 2, 3, 4):
         assert rank_of_B(m) == math.factorial(m)
-
-
-def test_transfer_identity():
-    # (n - m) v_m = B_m v_{m+1}, exact integers
-    rng = random.Random(47)
-    for n, m in ((8, 2), (9, 3)):
-        for _ in range(10):
-            sigma = random_permutation(n, rng.randrange(10 ** 6))
-            vm = np.array(profile(sigma, m).counts, dtype=object)
-            vm1 = np.array(profile(sigma, m + 1).counts, dtype=object)
-            b = build_pattern_matrices(m).B.astype(object)
-            assert ((n - m) * vm == b @ vm1).all()
 
 
 def test_occurrence_graph_connected():

@@ -5,12 +5,11 @@ import tracemalloc
 
 import pytest
 
-from oracles import brute_inversions
+from oracles import brute_inversions, brute_profile
 from quasiperm.core import Permutation
-from quasiperm.patterns import patterns_of_order, profile, standardize
+from quasiperm.patterns import PrefixCounts, patterns_of_order, standardize
 from quasiperm.symmetry import (
     MAX_SEARCH_SIZE,
-    PrefixCounts,
     SearchBudgetRequired,
     divisibility_D,
     h,
@@ -26,8 +25,7 @@ def brute_is_symmetric(images, m):
         if total % math.factorial(mp):
             return False
         target = total // math.factorial(mp)
-        prof = profile(Permutation(images), mp)
-        if any(c != target for c in prof.counts):
+        if any(c != target for c in brute_profile(Permutation(images), mp)):
             return False
     return True
 
@@ -50,6 +48,29 @@ def test_is_perfect_m_symmetric_known_cases():
     assert not is_perfect_m_symmetric(Permutation.identity(4), 2)
     # 650147832 is one of the two perfectly 3-symmetric permutations of size 9
     assert is_perfect_m_symmetric(Permutation((6, 5, 0, 1, 4, 7, 8, 3, 2)), 3)
+
+
+def test_is_perfect_matches_every_order_oracle():
+    # every permutation of S_5 at m = 2, and at n = 9 the two perfectly
+    # 3-symmetric permutations, every transposition of one of them and
+    # seeded draws, at m = 2 and 3
+    for p in itertools.permutations(range(5)):
+        assert is_perfect_m_symmetric(Permutation(p), 2) == brute_is_symmetric(p, 2)
+    solution = [2, 3, 8, 7, 4, 1, 0, 5, 6]
+    cases = [solution, solution[::-1]]
+    for i, j in itertools.combinations(range(9), 2):
+        swapped = solution[:]
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        cases.append(swapped)
+    rng = random.Random(31)
+    cases += [rng.sample(range(9), 9) for _ in range(100)]
+    verdicts = set()
+    for images in cases:
+        for m in (2, 3):
+            verdict = is_perfect_m_symmetric(Permutation(tuple(images)), m)
+            assert verdict == brute_is_symmetric(images, m), (images, m)
+            verdicts.add((m, verdict))
+    assert verdicts == {(2, False), (2, True), (3, False), (3, True)}
 
 
 def test_is_perfect_rejects_bad_modulus():
@@ -137,7 +158,7 @@ def test_prefix_counts_match_profile_at_every_depth():
         def check(length):
             prefix = standardize(images[:length])
             for k in range(2, 6):
-                expected = (profile(Permutation(prefix), k).counts if length >= k
+                expected = (brute_profile(Permutation(prefix), k) if length >= k
                             else (0,) * math.factorial(k))
                 assert state.counts(k) == expected, (images, length, k)
 
