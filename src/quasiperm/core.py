@@ -242,8 +242,12 @@ def serialize_permutation(p: Permutation) -> str:
     return " ".join(str(v) for v in p.images)
 
 
+# parse_set refuses larger moduli before building anything of length n
+MAX_SET_MODULUS = 1 << 20
+
+
 def parse_set(text: str) -> ZnSubset:
-    """Parse the set format "n: e1 e2 ..."."""
+    """Parse the set format "n: e1 e2 ..." with 0 < n <= MAX_SET_MODULUS."""
     head, sep, tail = text.partition(":")
     if not sep:
         raise ParseError("expected 'n: e1 e2 ...'")
@@ -253,6 +257,8 @@ def parse_set(text: str) -> ZnSubset:
         raise ParseError(f"modulus {head.strip()!r} is not an integer") from None
     if n <= 0:
         raise ParseError("modulus must be positive")
+    if n > MAX_SET_MODULUS:
+        raise ParseError(f"modulus {n} exceeds the limit {MAX_SET_MODULUS}")
     elements = []
     for i, tok in enumerate(tail.replace(",", " ").split()):
         try:

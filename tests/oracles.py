@@ -5,12 +5,14 @@ window enumeration, explicit subsequence enumeration) and deliberately
 shares no algorithmic structure with the library's fast paths.
 """
 
+import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from quasiperm.core import CyclicInterval, Permutation, ZnSubset
+from quasiperm.core import CyclicInterval, Permutation, ZnMultiset, ZnSubset
 from quasiperm.patterns import standardize
 
 
@@ -24,12 +26,32 @@ def window_count_table(indicator: np.ndarray) -> np.ndarray:
     return cs[ts[None, :] + ls[:, None]] - cs[ts[None, :]]
 
 
-def brute_interval_max(s: ZnSubset) -> int:
-    """max over every cyclic window J of |n |S∩J| - |S||J||."""
+def brute_interval_max(s) -> int:
+    """max over every cyclic window J of |n |S∩J| - |S||J||; a ZnMultiset
+    counts with multiplicity."""
     n = s.n
-    counts = window_count_table(np.array(s.indicator(), dtype=np.int64))
+    if isinstance(s, ZnMultiset):
+        weights, mass = s.multiplicity, s.mass
+    else:
+        weights, mass = s.indicator(), s.size
+    counts = window_count_table(np.array(weights, dtype=np.int64))
     ls = np.arange(1, n + 1)
-    return int(np.abs(n * counts - s.size * ls[:, None]).max(initial=0))
+    return int(np.abs(n * counts - mass * ls[:, None]).max(initial=0))
+
+
+def brute_piecewise_balance(n: int, s_mask: int) -> Fraction:
+    """max over every nonempty proper T ⊆ Z_n of n D_T(S) / (n^2 c(T)), with
+    S and T as bit masks and c(T) the number of cyclic runs of T, counted
+    as the members x of T with x - 1 not in T."""
+    size = bin(s_mask).count("1")
+    best = Fraction(0)
+    for t in range(1, (1 << n) - 1):
+        runs = sum(1 for x in range(n)
+                   if t >> x & 1 and not t >> ((x - 1) % n) & 1)
+        hit = bin(s_mask & t).count("1")
+        dev = abs(n * hit - size * bin(t).count("1"))
+        best = max(best, Fraction(dev, n * n * runs))
+    return best
 
 
 def brute_perm_discrepancy(sigma: Permutation) -> int:
@@ -111,6 +133,32 @@ def brute_translation(s: ZnSubset, j: CyclicInterval) -> float:
         hits = sum(1 for x in j.elements() if (x + a) % n in s.members)
         total += (hits - expect) ** 2
     return total
+
+
+def translation_statistic_direct(s: ZnSubset, j: CyclicInterval) -> float:
+    """Sum over k of (|S & (J+k)| - |S||J|/n)^2 from window sums of the
+    indicator over every translate of J."""
+    n = s.n
+    ind = np.asarray(s.indicator(), dtype=np.int64)
+    L = j.length
+    if L == 0:
+        return 0.0
+    ext = np.concatenate([ind, ind])
+    csum = np.concatenate([[0], np.cumsum(ext)])
+    starts = (j.start + np.arange(n)) % n
+    counts = csum[starts + L] - csum[starts]
+    mean = s.size * L / n
+    return float(np.sum((counts - mean) ** 2))
+
+
+def fourier_spectrum_direct(s: ZnSubset) -> np.ndarray:
+    """All n coefficients by O(n^2) summation straight from the definition."""
+    n = s.n
+    coeffs = np.zeros(n, dtype=complex)
+    for k in range(n):
+        for x in s.members:
+            coeffs[k] += cmath.exp(-2j * cmath.pi * k * x / n)
+    return coeffs
 
 
 def brute_fourier(s: ZnSubset, k: int) -> complex:

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from quasiperm.balance import MAX_CERTIFICATE_SIZE
 from quasiperm.cli import dispatch
+from quasiperm.core import MAX_SET_MODULUS
 from quasiperm.patterns import MAX_PROFILE_STEPS
 from quasiperm.permdisc import MAX_DISCREPANCY_SIZE
 from quasiperm.symmetry import MAX_SEARCH_SIZE
@@ -83,6 +85,17 @@ def test_analyze_perm_over_size_limit_is_invalid_input(tmp_path, capsys):
     big.write_text(" ".join(map(str, range(MAX_DISCREPANCY_SIZE + 1))) + "\n")
     for extra in ((), ("--sample", "1")):
         assert dispatch(["analyze-perm", "--perm", str(big), *extra]) == 2
+        assert "invalid input" in capsys.readouterr().err
+
+
+def test_set_over_size_limit_is_invalid_input(tmp_path, capsys):
+    big = tmp_path / "big.txt"
+    for text, command in ((f"{MAX_CERTIFICATE_SIZE + 1}: 0", "certify"),
+                          ("1000000: 0", "certify"),
+                          (f"{MAX_SET_MODULUS + 1}: 0", "analyze-set"),
+                          ("100000000000: 1", "analyze-set")):
+        big.write_text(text + "\n")
+        assert dispatch([command, "--set", str(big)]) == 2
         assert "invalid input" in capsys.readouterr().err
 
 

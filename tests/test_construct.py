@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasiperm.core import Permutation
 from quasiperm.construct import (
@@ -64,17 +65,17 @@ def test_tensor_overflow_guard():
         tensor(big, big)
 
 
-def test_product_bound_dominates_true_discrepancy():
-    rng = random.Random(79)
-    for _ in range(12):
-        k = rng.randint(2, 3)
-        sizes = [rng.randint(2, 4) for _ in range(k)]
-        factors = [random_permutation(s, rng.randrange(10 ** 6)) for s in sizes]
-        prod = tensor_product(factors)
-        if prod.n > 80:
-            continue
-        scaled = perm_discrepancy(prod).scaled_D
-        assert scaled <= product_bound(sizes) * prod.n
+factor_lists = st.lists(
+    st.integers(2, 4).flatmap(lambda m: st.permutations(range(m)).map(Permutation)),
+    min_size=1, max_size=3)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(factor_lists)
+def test_product_bound_dominates_true_discrepancy(factors):
+    prod = tensor_product(factors)
+    scaled = perm_discrepancy(prod).scaled_D
+    assert scaled <= product_bound([f.n for f in factors]) * prod.n
 
 
 def test_recursion_inequalities():

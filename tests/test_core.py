@@ -1,6 +1,9 @@
+import tracemalloc
+
 import pytest
 
 from quasiperm.core import (
+    MAX_SET_MODULUS,
     CyclicInterval,
     DegenerateIntervalError,
     ModulusMismatchError,
@@ -73,6 +76,19 @@ def test_parse_set_roundtrip_and_errors():
         parse_set("10: 0 10")
     with pytest.raises(ParseError):
         parse_set("10: 3 3")
+
+
+def test_parse_set_modulus_limit_raises_before_allocating():
+    assert parse_set(f"{MAX_SET_MODULUS}: 0 7").size == 2
+    tracemalloc.start()
+    try:
+        for text in (f"{MAX_SET_MODULUS + 1}: 0", "100000000000: 1"):
+            with pytest.raises(ParseError, match="exceeds"):
+                parse_set(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_permutation_inverse_compose():

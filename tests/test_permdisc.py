@@ -80,15 +80,6 @@ def test_restricted_never_exceeds_full():
         assert rep.scaled_d_prime <= rep.scaled_D
 
 
-def test_discrepancy_invariant_under_inverse():
-    rng = random.Random(67)
-    for _ in range(15):
-        n = rng.randint(2, 14)
-        sigma = random_permutation(n, rng.randrange(10 ** 6))
-        assert (perm_discrepancy(sigma).scaled_D
-                == perm_discrepancy(sigma.inverse()).scaled_D)
-
-
 def test_separability_statistic_quadruples():
     sigma = Permutation((1, 3, 0, 2))
     full = CyclicInterval.full(4)
@@ -172,6 +163,15 @@ def test_size_limit_raises_before_allocating():
 
 small_perms = st.integers(1, 8).flatmap(
     lambda n: st.permutations(range(n)).map(Permutation))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_perms)
+def test_discrepancy_invariant_under_inverse(sigma):
+    expected = brute_perm_discrepancy(sigma)
+    assert perm_discrepancy(sigma).scaled_D == expected
+    assert perm_discrepancy(sigma.inverse()).scaled_D == expected
+    assert brute_perm_discrepancy(sigma.inverse()) == expected
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
