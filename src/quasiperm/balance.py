@@ -69,19 +69,22 @@ def profile_discrepancy(g: np.ndarray) -> tuple:
     return value, CyclicInterval(n, (a + 1) % n, (b - a) % n)
 
 
+def _prefix_profile(w: np.ndarray, mass: int) -> np.ndarray:
+    """g(j) = n * (w[0] + ... + w[j]) - mass * (j + 1) for weights w of
+    total mass over Z_n."""
+    n = len(w)
+    return n * np.cumsum(w) - mass * np.arange(1, n + 1, dtype=np.int64)
+
+
 def max_interval_discrepancy(s: SetLike) -> tuple:
     """(n * D(S), witness interval) with D(S) the max of D_J over all J."""
-    n = s.n
     w = _weights(s)
-    mass = int(w.sum())
-    return profile_discrepancy(
-        n * np.cumsum(w) - mass * np.arange(1, n + 1, dtype=np.int64))
+    return profile_discrepancy(_prefix_profile(w, int(w.sum())))
 
 
 def _dilated_discrepancy(n: int, members: np.ndarray, k: int) -> int:
     """n * D(kS) from the members of S: the range of the profile of kS."""
-    w = np.bincount(k % n * members % n, minlength=n)
-    g = n * np.cumsum(w) - len(members) * np.arange(1, n + 1, dtype=np.int64)
+    g = _prefix_profile(np.bincount(k % n * members % n, minlength=n), len(members))
     return int(g.max() - g.min())
 
 

@@ -147,7 +147,7 @@ def cmd_analyze_set(args) -> dict:
         "size": len(s.members),
         "scaled_D": value,
         "witness": interval_json(witness),
-        "eps_B": rational(Fraction(value, s.n * s.n)) if s.n else rational(Fraction(0)),
+        "eps_B": rational(Fraction(value, s.n * s.n)),
         "components": count,
         "component_parts": [interval_json(p) for p in parts],
         "eigenvalue_statistic": {"alpha": args.alpha, "value": stat, "k": k_at},

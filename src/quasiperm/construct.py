@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from statistics import median
 from typing import Sequence
 
@@ -26,11 +26,15 @@ class ProductOverflowError(ValueError):
     """The product size exceeds the supported range."""
 
 
+def _check_product_size(size: int) -> None:
+    if size > MAX_PRODUCT_SIZE:
+        raise ProductOverflowError(f"product size {size} too large")
+
+
 def tensor(sigma: Permutation, tau: Permutation) -> Permutation:
     """Block product: x -> tau(x div n) + m * sigma(x mod n)."""
     n, m = sigma.n, tau.n
-    if n * m > MAX_PRODUCT_SIZE:
-        raise ProductOverflowError(f"product size {n * m} too large")
+    _check_product_size(n * m)
     images = [tau.images[x // n] + m * sigma.images[x % n] for x in range(n * m)]
     return Permutation(tuple(images))
 
@@ -39,12 +43,8 @@ def tensor_power(sigma: Permutation, k: int) -> Permutation:
     """k-fold block product of sigma with itself (left fold; associative)."""
     if k < 1:
         raise ValueError("power must be >= 1")
-    if sigma.n ** k > MAX_PRODUCT_SIZE:
-        raise ProductOverflowError(f"product size {sigma.n ** k} too large")
-    result = sigma
-    for _ in range(k - 1):
-        result = tensor(result, sigma)
-    return result
+    _check_product_size(sigma.n ** k)
+    return tensor_product([sigma] * k)
 
 
 def tensor_product(factors: Sequence[Permutation]) -> Permutation:
@@ -57,21 +57,12 @@ def tensor_product(factors: Sequence[Permutation]) -> Permutation:
 
 
 def digit_reversal(base: int, digits: int) -> Permutation:
-    """x -> the number whose base-n expansion is x's read backwards."""
+    """x -> the number whose base-n expansion is x's read backwards: the
+    digits-fold block product of the identity on Z_base."""
     if base < 2 or digits < 1:
         raise ValueError("need base >= 2 and digits >= 1")
-    size = base ** digits
-    if size > MAX_PRODUCT_SIZE:
-        raise ProductOverflowError(f"size {size} too large")
-    images = []
-    for x in range(size):
-        y = 0
-        v = x
-        for _ in range(digits):
-            y = y * base + v % base
-            v //= base
-        images.append(y)
-    return Permutation(tuple(images))
+    _check_product_size(base ** digits)  # before the identity is built
+    return tensor_power(Permutation.identity(base), digits)
 
 
 def product_bound(sizes: Sequence[int]) -> int:

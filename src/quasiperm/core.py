@@ -8,7 +8,7 @@ enters at this layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class ParseError(ValueError):
@@ -221,21 +221,16 @@ def parse_permutation(text: str) -> Permutation:
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ParseError("empty input")
-    n = len(tokens)
     images = []
-    seen = set()
     for i, tok in enumerate(tokens):
         try:
-            v = int(tok)
+            images.append(int(tok))
         except ValueError:
             raise ParseError(f"token {tok!r} at index {i} is not an integer") from None
-        if not 0 <= v < n:
-            raise ParseError(f"image {v} at index {i} outside [0, {n})")
-        if v in seen:
-            raise ParseError(f"duplicate image {v} at index {i}")
-        seen.add(v)
-        images.append(v)
-    return Permutation(tuple(images))
+    try:
+        return Permutation(tuple(images))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def serialize_permutation(p: Permutation) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,15 +49,6 @@ def pattern_index(images: Sequence[int]) -> int:
         smaller = sum(1 for w in images[i + 1:] if w < v)
         idx += smaller * factorial(m - 1 - i)
     return idx
-
-
-def occurs_at(sigma: Permutation, positions: Iterable[int], tau: Permutation) -> bool:
-    """Whether tau occurs in sigma at the given index set."""
-    pos = sorted(positions)
-    if len(pos) != tau.n:
-        raise ValueError(f"index set has size {len(pos)}, pattern has order {tau.n}")
-    vals = [sigma.images[x] for x in pos]
-    return standardize(vals) == tau.images
 
 
 def _inversions(values: Sequence[int]) -> int:

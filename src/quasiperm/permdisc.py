@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Optional
 
 import numpy as np
 
@@ -152,20 +151,24 @@ def separability_statistic(sigma: Permutation, i: CyclicInterval,
     return abs(n * joint - ik * jkp)
 
 
-def window_positions(sigma: Permutation, i: CyclicInterval,
-                     j: CyclicInterval) -> list:
-    """Positions of I whose image lies in J, in natural position order."""
-    return [x for x in range(sigma.n) if x in i and sigma.images[x] in j]
+def _window_values(sigma: Permutation, i: CyclicInterval,
+                   j: CyclicInterval) -> list:
+    """sigma(x) for the positions x of the window I & sigma^-1(J), in
+    natural position order."""
+    return [v for x, v in enumerate(sigma.images) if x in i and v in j]
+
+
+def _count_in(values: list, tau: Permutation) -> int:
+    """Occurrences of tau in the one-line sequence `values`."""
+    if len(values) < tau.n:
+        return 0
+    return count_pattern(Permutation(standardize(values)), tau)
 
 
 def windowed_pattern_count(sigma: Permutation, tau: Permutation,
                            i: CyclicInterval, j: CyclicInterval) -> int:
     """Occurrences of tau in sigma restricted to the window I & sigma^-1(J)."""
-    pos = window_positions(sigma, i, j)
-    if len(pos) < tau.n:
-        return 0
-    restricted = Permutation(standardize([sigma.images[x] for x in pos]))
-    return count_pattern(restricted, tau)
+    return _count_in(_window_values(sigma, i, j), tau)
 
 
 def windowed_pattern_deviation(sigma: Permutation, tau: Permutation,
@@ -173,20 +176,17 @@ def windowed_pattern_deviation(sigma: Permutation, tau: Permutation,
     """|X^tau(restriction) - C(w, m)/m!| with w the window size; exact."""
     if tau.n < 2:
         raise ValueError("pattern order must be at least 2")
-    w = len(window_positions(sigma, i, j))
-    count = windowed_pattern_count(sigma, tau, i, j)
-    expected = Fraction(comb(w, tau.n), factorial(tau.n))
-    return abs(Fraction(count) - expected)
+    values = _window_values(sigma, i, j)
+    expected = Fraction(comb(len(values), tau.n), factorial(tau.n))
+    return abs(_count_in(values, tau) - expected)
 
 
 def two_pattern_balance(sigma: Permutation, i: CyclicInterval,
                         j: CyclicInterval) -> int:
-    """Ascending minus descending pair count on the window I & sigma^-1(J)."""
-    pos = window_positions(sigma, i, j)
-    vals = [sigma.images[x] for x in pos]
-    w = len(vals)
-    asc = sum(1 for a in range(w) for b in range(a + 1, w) if vals[a] < vals[b])
-    return asc - (comb(w, 2) - asc)
+    """Ascending minus descending pair count on the window I & sigma^-1(J):
+    C(w, 2) - 2 * inversions."""
+    values = _window_values(sigma, i, j)
+    return comb(len(values), 2) - 2 * _count_in(values, Permutation((1, 0)))
 
 
 def ascent_pairs_across(sigma: Permutation, s: ZnSubset, t: ZnSubset) -> int:

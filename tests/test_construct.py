@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,6 +40,23 @@ def test_tensor_block_structure():
 
 def test_tensor_power_example():
     assert tensor_power(Permutation.identity(2), 3).images == (0, 4, 2, 6, 1, 5, 3, 7)
+
+
+def test_digit_reversal_reverses_base_digits():
+    for base in range(2, 6):
+        for k in range(1, 5):
+            if base ** k > 1024:
+                continue
+            expected = tuple(int(np.base_repr(x, base).zfill(k)[::-1], base)
+                             for x in range(base ** k))
+            assert digit_reversal(base, k).images == expected
+
+
+def test_digit_reversal_size_guard():
+    with pytest.raises(ProductOverflowError):
+        digit_reversal(2, 25)
+    with pytest.raises(ProductOverflowError):
+        digit_reversal((1 << 24) + 1, 1)
 
 
 def test_digit_reversal_equals_identity_power():

@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +22,9 @@ from quasiperm.permdisc import (
     windowed_pattern_deviation,
 )
 from quasiperm.construct import random_permutation
+from quasiperm.patterns import patterns_of_order, standardize
 
-from oracles import brute_perm_discrepancy, brute_restricted_max
+from oracles import brute_count_pattern, brute_perm_discrepancy, brute_restricted_max
 
 
 def test_identity_example():
@@ -198,3 +200,54 @@ def test_initial_and_final_restrictions_agree(sigma):
 def test_sampled_bound_never_exceeds_discrepancy(sigma, samples, seed):
     low = sampled_discrepancy_lower_bound(sigma, samples, seed)
     assert 0 <= low <= brute_perm_discrepancy(sigma)
+
+
+def _random_interval(rng, n):
+    length = rng.choice([0, 1, n, rng.randint(0, n)])
+    return CyclicInterval(n, rng.randrange(n), length)
+
+
+def test_window_statistics_match_brute_force_seeded():
+    rng = random.Random(2024)
+    seen = {"empty": False, "single": False, "wrapping": False}
+    for _ in range(150):
+        n = rng.randint(1, 24)
+        sigma = random_permutation(n, rng.randrange(10 ** 6))
+        i, j = _random_interval(rng, n), _random_interval(rng, n)
+        members_i, members_j = set(i.elements()), set(j.elements())
+        values = [sigma(x) for x in sorted(members_i) if sigma(x) in members_j]
+        w = len(values)
+        window = Permutation(standardize(values)) if values else None
+        seen["empty"] |= w == 0
+        seen["single"] |= w == 1
+        seen["wrapping"] |= i.wraps() or j.wraps()
+
+        def brute(tau):
+            return brute_count_pattern(window, tau) if w >= tau.n else 0
+
+        for m in (2, 3):
+            for tau in patterns_of_order(m):
+                expected = brute(tau)
+                assert windowed_pattern_count(sigma, tau, i, j) == expected
+                assert (windowed_pattern_deviation(sigma, tau, i, j)
+                        == abs(expected - Fraction(comb(w, m), factorial(m))))
+        assert (two_pattern_balance(sigma, i, j)
+                == brute(Permutation((0, 1))) - brute(Permutation((1, 0))))
+    assert all(seen.values())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 24).flatmap(
+    lambda n: st.permutations(range(n)).map(Permutation)))
+def test_complement_identities(sigma):
+    # r(x) = n-1-x; sigma o r reads sigma right to left, r o sigma
+    # complements its values
+    r = Permutation.identity(sigma.n).reversed_one_line()
+    rep = perm_discrepancy(sigma)
+    after_r = perm_discrepancy(sigma.reversed_one_line())
+    before_r = perm_discrepancy(r.compose(sigma))
+    assert after_r.scaled_D == before_r.scaled_D == rep.scaled_D
+    assert after_r.scaled_d == rep.scaled_d_prime
+    assert after_r.scaled_d_prime == rep.scaled_d
+    assert (before_r.scaled_d, before_r.scaled_d_prime) == (rep.scaled_d,
+                                                            rep.scaled_d_prime)
