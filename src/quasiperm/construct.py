@@ -8,6 +8,7 @@ permutations, whose discrepancy grows only logarithmically.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -170,7 +171,8 @@ def mc_discrepancy_stats(n: int, trials: int, seed: int,
     if threads > 1 and trials > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        workers = min(threads, trials, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             scaled = list(pool.map(_trial_discrepancy,
                                    [(n, s) for s in trial_seeds]))
     else:

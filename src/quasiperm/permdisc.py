@@ -10,9 +10,10 @@ one prefix table over the doubled positions,
     q[t, j] = n * #{x < t : sigma(x mod n) <= j} - t * (j + 1),  0 <= t <= 2n.
 
 Row L-1 of q[s+1 : s+n+1] - q[s] is the prefix profile of sigma(I) for the
-interval I of length L starting at s, and row L-1 of q[n] - q[n-1::-1] the
-one for the final interval of length L.  Each profile row gives the best J
-through `balance.profile_discrepancy`.
+interval I = (s, L) of length L starting at s.  Its range (max - min),
+r[s, L-1], is n * max_J D_J(sigma(I)); `balance.profile_discrepancy` gives
+the J.  As D_J(sigma(I)) = D_J(sigma(complement(I))), the exact scan
+computes r for the lengths L <= n/2 only.
 """
 
 from __future__ import annotations
@@ -75,60 +76,56 @@ def _prefix_table(sigma: Permutation) -> np.ndarray:
     return q
 
 
-def _scan(g: np.ndarray) -> tuple:
-    """(max over rows of n * D, first row attaining it, witness J)."""
-    per_len = g.max(axis=1) - g.min(axis=1)
-    row = int(np.argmax(per_len))
-    value, j_wit = profile_discrepancy(g[row])
-    return value, row, j_wit
+def _ranges(q: np.ndarray, s: int, count: int, out=None) -> np.ndarray:
+    """r[s, L-1] for L = 1..count."""
+    g = np.subtract(q[s + 1:s + count + 1], q[s], out=out)
+    return g.max(axis=1) - g.min(axis=1)
+
+
+def _witness(q: np.ndarray, start: int, length: int) -> tuple:
+    """(n * D_J(sigma(I)), (I, J)) for I = (start, length) and its best J;
+    both intervals are empty when the value is 0."""
+    n = q.shape[1]
+    value, j = profile_discrepancy(q[start + length] - q[start])
+    i = CyclicInterval(n, start, length) if value else CyclicInterval.empty(n)
+    return value, (i, j)
 
 
 def perm_discrepancy(sigma: Permutation) -> PermDiscrepancyReport:
     """Exact maximum of n * D_J(sigma(I)) over all cyclic intervals I, J.
 
-    O(n^3) time and O(n^2) memory: one prefix table, then for each start
-    of I one subtraction of a table row gives the profiles of all n
-    lengths.  Wrapping J come for free through the complement identity
-    D_J = D_{complement(J)}.  The first start and the shortest length
-    attaining the maximum give the witness.
+    O(n^3) time and O(n^2) memory: one n x n range table r, of which each
+    start computes the lengths up to n/2 and copies them to the
+    complements (s + L, n - L); the full circle has range 0.  The first
+    maximum in row-major order (first start, then shortest length) is the
+    witness of D, the shortest initial and final intervals attaining the
+    maximum are those of d and d'.
     """
     q = _prefix_table(sigma)
     n = sigma.n
-    g = np.empty((n, n), dtype=np.int64)
-    best = 0
-    best_i = CyclicInterval.empty(n)
-    best_j = CyclicInterval.empty(n)
-    for start in range(n):
-        np.subtract(q[start + 1:start + n + 1], q[start], out=g)
-        value, row, j_wit = _scan(g)
-        if value > best:
-            best, best_i, best_j = value, CyclicInterval(n, start, row + 1), j_wit
-    (d, wit_d), (dp, wit_dp) = _restricted_max(q)
+    half = np.arange(1, n // 2 + 1)
+    r = np.zeros((n, n), dtype=np.int32)  # ranges <= 2 n^2 < 2^31 at the cap
+    g = np.empty((len(half), n), dtype=np.int64)
+    for s in range(n):
+        ranges = _ranges(q, s, len(half), out=g)
+        r[s, :len(half)] = ranges
+        r[(s + half) % n, n - 1 - half] = ranges
+    start, row = divmod(int(np.argmax(r)), n)
+    best, (best_i, best_j) = _witness(q, start, row + 1)
+    d, wit_d = _witness(q, 0, int(np.argmax(r[0])) + 1)
+    lengths = np.arange(1, n + 1)
+    final = int(np.argmax(r[(n - lengths) % n, lengths - 1])) + 1
+    dp, wit_dp = _witness(q, (n - final) % n, final)
     return PermDiscrepancyReport(n, best, best_i, best_j, d, wit_d, dp, wit_dp)
-
-
-def _restricted_max(q: np.ndarray) -> tuple:
-    """((n*d, (I, J)), (n*d', (I, J))): max of n * D_J(sigma(I)) with I over
-    initial respectively final intervals.
-
-    The preimage interval is the restricted one; J ranges over everything.
-    Restricting J instead would be a different statistic, and only this
-    convention satisfies the block-product recursion inequalities.
-    """
-    n = q.shape[1]
-    d, row, j_d = _scan(q[1:n + 1])
-    dp, row_p, j_dp = _scan(q[n] - q[n - 1::-1])
-    i_d = CyclicInterval(n, 0, row + 1) if d else CyclicInterval.empty(n)
-    i_dp = (CyclicInterval(n, n - 1 - row_p, row_p + 1) if dp
-            else CyclicInterval.empty(n))
-    return (d, (i_d, j_d)), (dp, (i_dp, j_dp))
 
 
 def restricted_discrepancies(sigma: Permutation) -> tuple:
     """(n*d, n*d') with the preimage interval restricted to initial
-    respectively final intervals."""
-    (d, _), (dp, _) = _restricted_max(_prefix_table(sigma))
-    return d, dp
+    respectively final intervals and J free; restricting J instead would
+    break the block-product recursion inequalities.  The final intervals
+    are the complements of the initial ones, so d' = d."""
+    d = int(_ranges(_prefix_table(sigma), 0, sigma.n).max())
+    return d, d
 
 
 def separability_statistic(sigma: Permutation, i: CyclicInterval,
@@ -211,4 +208,4 @@ def sampled_discrepancy_lower_bound(sigma: Permutation, samples: int,
     rng = random.Random(seed)
     q = _prefix_table(sigma)
     starts = (rng.randrange(n) for _ in range(samples))
-    return max((_scan(q[s + 1:s + n + 1] - q[s])[0] for s in starts), default=0)
+    return max((int(_ranges(q, s, n).max()) for s in starts), default=0)

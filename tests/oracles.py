@@ -93,6 +93,21 @@ def brute_restricted_max(sigma: Permutation, prefix: bool) -> int:
     return best
 
 
+def brute_interval_ranges(sigma: Permutation) -> np.ndarray:
+    """table[s, L-1] = max over every window J of |n |sigma(I)∩J| - |I||J||
+    for the preimage window I of length L starting at s."""
+    n = sigma.n
+    ls = np.arange(1, n + 1)
+    table = np.zeros((n, n), dtype=np.int64)
+    for start in range(n):
+        ind = np.zeros(n, dtype=np.int64)
+        for li in range(1, n + 1):
+            ind[sigma.images[(start + li - 1) % n]] = 1
+            counts = window_count_table(ind)
+            table[start, li - 1] = np.abs(n * counts - li * ls[:, None]).max()
+    return table
+
+
 def brute_count_pattern(sigma: Permutation, tau: Permutation) -> int:
     """Occurrences of tau in sigma by direct subsequence comparison."""
     m = tau.n

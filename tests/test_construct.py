@@ -164,3 +164,27 @@ def test_mc_discrepancy_stats_reproducible_and_thread_invariant():
     assert len(a.scaled_values) == 6
     for scaled, ratio in zip(a.scaled_values, a.ratios):
         assert ratio == pytest.approx((scaled / 12) / math.sqrt(12 * math.log(12)))
+
+
+def test_mc_discrepancy_stats_caps_the_worker_count(monkeypatch):
+    import concurrent.futures
+
+    recorded = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    capped = mc_discrepancy_stats(12, 2, seed=5, threads=10 ** 5)
+    assert len(recorded) == 1 and 1 <= recorded[0] <= 2
+    assert capped == mc_discrepancy_stats(12, 2, seed=5, threads=1)

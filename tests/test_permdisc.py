@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from quasiperm.core import CyclicInterval, Permutation, ZnSubset
 from quasiperm.permdisc import (
     MAX_DISCREPANCY_SIZE,
+    PermDiscrepancyReport,
     ascent_pairs_across,
     discrepancy_of_pair,
     exclusion_lower_bound,
@@ -21,10 +22,15 @@ from quasiperm.permdisc import (
     windowed_pattern_count,
     windowed_pattern_deviation,
 )
-from quasiperm.construct import random_permutation
+from quasiperm.construct import digit_reversal, random_permutation
 from quasiperm.patterns import patterns_of_order, standardize
 
-from oracles import brute_count_pattern, brute_perm_discrepancy, brute_restricted_max
+from oracles import (
+    brute_count_pattern,
+    brute_interval_ranges,
+    brute_perm_discrepancy,
+    brute_restricted_max,
+)
 
 
 def test_identity_example():
@@ -70,6 +76,78 @@ def test_restricted_matches_brute_force():
             i_dp, j_dp = rep.witness_d_prime
             assert discrepancy_of_pair(sigma, i_dp, j_dp) == dp
             assert i_dp.length == 0 or i_dp.start + i_dp.length == n
+
+
+def _tie_break_corpus():
+    for n in range(1, 7):
+        for images in itertools.permutations(range(n)):
+            yield Permutation(images)
+    rng = random.Random(67)
+    for n in range(7, 25):
+        for _ in range(2):
+            yield random_permutation(n, rng.randrange(10 ** 6))
+    yield digit_reversal(2, 4)
+    yield digit_reversal(3, 2)
+
+
+def test_witnesses_follow_the_tie_breaks():
+    # D: first start, then shortest length; d and d': shortest initial and
+    # final interval.  Every interval ties with its complement, so these
+    # rules pick one of at least two maximal intervals.
+    for sigma in _tie_break_corpus():
+        n = sigma.n
+        table = brute_interval_ranges(sigma)
+
+        def first(cells):
+            best = max(int(table[s, li - 1]) for s, li in cells)
+            s, li = next((s, li) for s, li in cells if table[s, li - 1] == best)
+            return best, (CyclicInterval(n, s, li) if best
+                          else CyclicInterval.empty(n))
+
+        every = [(s, li) for s in range(n) for li in range(1, n + 1)]
+        initial = [(0, li) for li in range(1, n + 1)]
+        final = [((n - li) % n, li) for li in range(1, n + 1)]
+        rep = perm_discrepancy(sigma)
+        assert (rep.scaled_D, rep.witness_I) == first(every)
+        assert (rep.scaled_d, rep.witness_d[0]) == first(initial)
+        assert (rep.scaled_d_prime, rep.witness_d_prime[0]) == first(final)
+        for value, (i, j) in ((rep.scaled_D, (rep.witness_I, rep.witness_J)),
+                              (rep.scaled_d, rep.witness_d),
+                              (rep.scaled_d_prime, rep.witness_d_prime)):
+            assert discrepancy_of_pair(sigma, i, j) == value
+
+
+# (images, (D, I, J, d, (I, J), d', (I, J))) with intervals as (start, length)
+PINNED_REPORTS = [
+    ((0, 1, 2, 3, 4, 5),
+     (9, (0, 3), (0, 3), 9, ((0, 3), (0, 3)), 9, ((3, 3), (3, 3)))),
+    ((6, 5, 4, 3, 2, 1, 0),
+     (12, (0, 3), (4, 3), 12, ((0, 3), (4, 3)), 12, ((4, 3), (0, 3)))),
+    ((0, 4, 2, 6, 1, 5, 3, 7),
+     (12, (1, 6), (1, 6), 9, ((0, 3), (0, 5)), 9, ((5, 3), (3, 5)))),
+    ((0, 3, 1, 4, 2, 5),
+     (8, (1, 4), (1, 4), 6, ((0, 3), (0, 2)), 6, ((3, 3), (2, 4)))),
+    ((0, 3, 1, 5, 2, 4),
+     (6, (0, 3), (0, 2), 6, ((0, 3), (0, 2)), 6, ((4, 2), (2, 3)))),
+    ((3, 1, 2, 7, 0, 6, 5, 8, 4),
+     (20, (3, 5), (5, 5), 18, ((0, 3), (1, 3)), 18, ((3, 6), (4, 6)))),
+]
+
+
+@pytest.mark.parametrize("images, expected", PINNED_REPORTS)
+def test_perm_discrepancy_reports_are_pinned(images, expected):
+    # the identity, the reversal, digit reversal 2^3, two permutations
+    # whose witness profiles have tied extrema (so the J tie-break shows)
+    # and one whose d' witness is not the complement of its d witness
+    n = len(images)
+
+    def iv(pair):
+        return CyclicInterval(n, *pair)
+
+    big, i, j, d, wit_d, dp, wit_dp = expected
+    assert perm_discrepancy(Permutation(images)) == PermDiscrepancyReport(
+        n, big, iv(i), iv(j), d, tuple(map(iv, wit_d)),
+        dp, tuple(map(iv, wit_dp)))
 
 
 def test_restricted_never_exceeds_full():
