@@ -11,7 +11,6 @@ from .core import (
     classify_interval,
     components,
     image_of_interval,
-    image_of_subset,
     parse_permutation,
     parse_set,
     serialize_permutation,

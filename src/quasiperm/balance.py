@@ -106,9 +106,6 @@ class FourierSpectrum:
     n: int
     coeffs: np.ndarray
 
-    def magnitude(self, k: int) -> float:
-        return abs(self.coeffs[k % self.n])
-
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.coeffs)
 
@@ -150,8 +147,8 @@ def _ratio_square_sum(mags: np.ndarray) -> float:
 
 def eigenvalue_bound_profile(s: SetLike, alpha: float) -> tuple:
     """(max over k != 0 of |S~(k)| / |k|^alpha, witness k)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     return _max_ratio(fourier_spectrum(s).magnitudes(), alpha)
 
 

@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group()
     g.add_argument("--exact", action="store_true", default=True)
     g.add_argument("--sample", type=int, default=None, metavar="N",
-                   help="sampled lower bound from N random interval pairs")
+                   help="lower bound from N randomly drawn interval starts")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("pattern-count", help="pattern occurrence counts")

@@ -131,10 +131,6 @@ class ZnSubset:
             ind[x] = 1
         return ind
 
-    def intersect(self, other: "ZnSubset") -> "ZnSubset":
-        _check_moduli(self.n, other.n)
-        return ZnSubset(self.n, self.members & other.members)
-
 
 @dataclass(frozen=True)
 class ZnMultiset:
@@ -332,8 +328,3 @@ def image_of_interval(p: Permutation, interval: CyclicInterval) -> ZnSubset:
     """{sigma(x) : x in I} as a subset of Z_n."""
     _check_moduli(p.n, interval.n)
     return ZnSubset(p.n, frozenset(p.images[x] for x in interval.elements()))
-
-
-def image_of_subset(p: Permutation, s: ZnSubset) -> ZnSubset:
-    _check_moduli(p.n, s.n)
-    return ZnSubset(p.n, frozenset(p.images[x] for x in s.members))

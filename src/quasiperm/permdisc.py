@@ -5,15 +5,16 @@ of sigma(I) in J.  Everything is exact and n-scaled: the integers reported
 here are n times the usual quantities.
 
 D, the restricted variants d and d' and the sampled lower bound all read
-one prefix table over the doubled positions,
+one n x n prefix table over the positions,
 
-    q[t, j] = n * #{x < t : sigma(x mod n) <= j} - t * (j + 1),  0 <= t <= 2n.
+    q[t, j] = n * #{x < t : sigma(x) <= j} - t * (j + 1),  0 <= t < n.
 
-Row L-1 of q[s+1 : s+n+1] - q[s] is the prefix profile of sigma(I) for the
-interval I = (s, L) of length L starting at s.  Its range (max - min),
-r[s, L-1], is n * max_J D_J(sigma(I)); `balance.profile_discrepancy` gives
-the J.  As D_J(sigma(I)) = D_J(sigma(complement(I))), the exact scan
-computes r for the lengths L <= n/2 only.
+At t = n the formula gives 0 = q[0], so q is periodic, q[t + n] = q[t].
+For positions a < b, q[b] - q[a] is then the prefix profile of sigma(I)
+for I = (a, b - a), starting at a with length b - a, and its negation that
+of the complement (b, n - b + a).  The range (max - min) of the profile is
+n * max_J D_J(sigma(I)) for both, and `balance.profile_discrepancy` gives
+the J.  So D is the largest range over the row pairs (a, b).
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .balance import profile_discrepancy, scaled_discrepancy_in
 from .patterns import count_pattern, standardize
 
 
-# Largest n the exact scans accept: the prefix table then takes about 268 MB.
+# Largest n the exact scans accept: the prefix table and the scan buffer
+# then take about 67 MB each.
 MAX_DISCREPANCY_SIZE = 4096
 
 
@@ -62,61 +64,61 @@ def discrepancy_of_pair(sigma: Permutation, i: CyclicInterval,
 
 
 def _prefix_table(sigma: Permutation) -> np.ndarray:
-    """The (2n+1) x n table q of the module docstring, built in place."""
+    """The n x n table q of the module docstring, built in place."""
     n = sigma.n
     if n > MAX_DISCREPANCY_SIZE:
         raise ValueError(f"permutation size {n} exceeds the discrepancy "
                          f"limit {MAX_DISCREPANCY_SIZE}")
-    q = np.full((2 * n + 1, n), -1, dtype=np.int64)
+    # |q| <= n^2, and every range of a row difference is <= 2 n^2 < 2^31
+    # at the cap, so int32 holds the table and each scan buffer
+    q = np.full((n, n), -1, dtype=np.int32)
     q[0] = 0
-    x = np.arange(2 * n)
-    q[x + 1, np.asarray(sigma.images)[x % n]] += n
-    np.cumsum(q, axis=1, out=q)
-    np.cumsum(q, axis=0, out=q)
+    q[np.arange(1, n), np.asarray(sigma.images[:-1], dtype=np.intp)] += n
+    np.cumsum(q, axis=1, dtype=np.int32, out=q)
+    np.cumsum(q, axis=0, dtype=np.int32, out=q)
     return q
 
 
-def _ranges(q: np.ndarray, s: int, count: int, out=None) -> np.ndarray:
-    """r[s, L-1] for L = 1..count."""
-    g = np.subtract(q[s + 1:s + count + 1], q[s], out=out)
+def _ranges(rows: np.ndarray, base: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Ranges of the profiles rows[i] - base, computed in out."""
+    g = np.subtract(rows, base, out=out[:len(rows)])
     return g.max(axis=1) - g.min(axis=1)
 
 
-def _witness(q: np.ndarray, start: int, length: int) -> tuple:
-    """(n * D_J(sigma(I)), (I, J)) for I = (start, length) and its best J;
-    both intervals are empty when the value is 0."""
-    n = q.shape[1]
-    value, j = profile_discrepancy(q[start + length] - q[start])
-    i = CyclicInterval(n, start, length) if value else CyclicInterval.empty(n)
+def _witness(q: np.ndarray, a: int, b: int) -> tuple:
+    """(n * D_J(sigma(I)), (I, J)) for I = (a, (b - a) mod n) and its best
+    J; both intervals are empty when the value is 0."""
+    n = len(q)
+    value, j = profile_discrepancy(q[b] - q[a])
+    i = CyclicInterval(n, a, (b - a) % n) if value else CyclicInterval.empty(n)
     return value, (i, j)
 
 
 def perm_discrepancy(sigma: Permutation) -> PermDiscrepancyReport:
     """Exact maximum of n * D_J(sigma(I)) over all cyclic intervals I, J.
 
-    O(n^3) time and O(n^2) memory: one n x n range table r, of which each
-    start computes the lengths up to n/2 and copies them to the
-    complements (s + L, n - L); the full circle has range 0.  The first
-    maximum in row-major order (first start, then shortest length) is the
-    witness of D, the shortest initial and final intervals attaining the
-    maximum are those of d and d'.
+    O(n^3) time and O(n^2) memory: one range per row pair a <= b, where
+    a = b (range 0) keeps n = 1 in the scan.  The first maximal pair in
+    (a, b) order is the witness (a, b - a) of D: the first start, then the
+    shortest length.  Row 0 holds the initial intervals (0, b) and,
+    negated, the final ones (b, n - b); its first and last maxima are the
+    shortest witnesses of d and d'.
     """
     q = _prefix_table(sigma)
     n = sigma.n
-    half = np.arange(1, n // 2 + 1)
-    r = np.zeros((n, n), dtype=np.int32)  # ranges <= 2 n^2 < 2^31 at the cap
-    g = np.empty((len(half), n), dtype=np.int64)
-    for s in range(n):
-        ranges = _ranges(q, s, len(half), out=g)
-        r[s, :len(half)] = ranges
-        r[(s + half) % n, n - 1 - half] = ranges
-    start, row = divmod(int(np.argmax(r)), n)
-    best, (best_i, best_j) = _witness(q, start, row + 1)
-    d, wit_d = _witness(q, 0, int(np.argmax(r[0])) + 1)
-    lengths = np.arange(1, n + 1)
-    final = int(np.argmax(r[(n - lengths) % n, lengths - 1])) + 1
-    dp, wit_dp = _witness(q, (n - final) % n, final)
-    return PermDiscrepancyReport(n, best, best_i, best_j, d, wit_d, dp, wit_dp)
+    g = np.empty_like(q)
+    best, pair = 0, (0, 0)
+    for a in range(n):
+        ranges = _ranges(q[a:], q[a], g)
+        b = int(np.argmax(ranges))
+        if ranges[b] > best:
+            best, pair = int(ranges[b]), (a, a + b)
+        if a == 0:
+            row0 = ranges
+    big, (big_i, big_j) = _witness(q, *pair)
+    d, wit_d = _witness(q, 0, int(np.argmax(row0)))
+    dp, wit_dp = _witness(q, n - 1 - int(np.argmax(row0[::-1])), 0)
+    return PermDiscrepancyReport(n, big, big_i, big_j, d, wit_d, dp, wit_dp)
 
 
 def restricted_discrepancies(sigma: Permutation) -> tuple:
@@ -124,7 +126,8 @@ def restricted_discrepancies(sigma: Permutation) -> tuple:
     respectively final intervals and J free; restricting J instead would
     break the block-product recursion inequalities.  The final intervals
     are the complements of the initial ones, so d' = d."""
-    d = int(_ranges(_prefix_table(sigma), 0, sigma.n).max())
+    q = _prefix_table(sigma)
+    d = int(_ranges(q, q[0], np.empty_like(q)).max())
     return d, d
 
 
@@ -203,9 +206,16 @@ def exclusion_lower_bound(n: int, m: int) -> float:
 def sampled_discrepancy_lower_bound(sigma: Permutation, samples: int,
                                     seed: int = 0) -> int:
     """Lower bound on n * D(sigma) from randomly sampled preimage interval
-    starts; 0 when samples <= 0."""
+    starts; 0 when samples <= 0.  Each distinct start is scanned once, and
+    drawing stops once every start has been seen: the maximum over the same
+    starts is the same, so the work is at most n scans of n rows."""
     n = sigma.n
     rng = random.Random(seed)
     q = _prefix_table(sigma)
-    starts = (rng.randrange(n) for _ in range(samples))
-    return max((int(_ranges(q, s, n).max()) for s in starts), default=0)
+    starts = set()
+    for _ in range(samples):
+        starts.add(rng.randrange(n))
+        if len(starts) == n:
+            break
+    g = np.empty_like(q)
+    return max((int(_ranges(q, q[s], g).max()) for s in starts), default=0)

@@ -107,6 +107,13 @@ def test_analyze_set(capsys, set_file):
     assert r["components"] == 5
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_analyze_set_non_finite_alpha_is_invalid_input(capsys, set_file, alpha):
+    # NaN and Infinity are not JSON, so they must not reach the report
+    assert dispatch(["analyze-set", "--set", set_file, "--alpha", alpha]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_matrix_example(capsys):
     r = run_json(capsys, "matrix", "--m", "2")["results"]
     assert r["lambda_max"] == pytest.approx(27, rel=1e-8)

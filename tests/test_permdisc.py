@@ -22,7 +22,11 @@ from quasiperm.permdisc import (
     windowed_pattern_count,
     windowed_pattern_deviation,
 )
-from quasiperm.construct import digit_reversal, random_permutation
+from quasiperm.construct import (
+    digit_reversal,
+    random_permutation,
+    tensor_product,
+)
 from quasiperm.patterns import patterns_of_order, standardize
 
 from oracles import (
@@ -88,6 +92,11 @@ def _tie_break_corpus():
             yield random_permutation(n, rng.randrange(10 ** 6))
     yield digit_reversal(2, 4)
     yield digit_reversal(3, 2)
+    yield digit_reversal(2, 6)
+    yield tensor_product([Permutation((1, 0)), Permutation((0, 2, 1)),
+                          Permutation((2, 0, 3, 1))])
+    yield tensor_product([Permutation((0, 2, 1)), Permutation((1, 0)),
+                          Permutation((0, 2, 1))])
 
 
 def test_witnesses_follow_the_tie_breaks():
@@ -225,6 +234,28 @@ def test_sampled_lower_bound_is_a_lower_bound():
         # sampling every start makes it exact
         assert (sampled_discrepancy_lower_bound(sigma, samples=50 * n, seed=2)
                 == perm_discrepancy(sigma).scaled_D)
+
+
+def test_sampled_bound_work_is_bounded_by_the_starts():
+    # drawing stops once every start is seen, so a huge sample count is
+    # one scan per start and gives the exact value
+    sigma = random_permutation(12, 79)
+    assert (sampled_discrepancy_lower_bound(sigma, samples=10 ** 9, seed=4)
+            == perm_discrepancy(sigma).scaled_D)
+
+
+def test_exact_scans_stay_within_two_int32_tables():
+    # the n x n int32 prefix table and one scan buffer of the same size:
+    # about 8.4 MB at n = 1024
+    sigma = random_permutation(1024, 83)
+    for call in (perm_discrepancy, restricted_discrepancies):
+        tracemalloc.start()
+        try:
+            call(sigma)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 10 ** 6, (call.__name__, peak)
 
 
 def test_size_limit_raises_before_allocating():
