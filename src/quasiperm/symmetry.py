@@ -78,6 +78,14 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
     of some order k <= m exceeds its target, or can no longer reach it
     with the C(n,k) - C(L,k) index sets that remain.  Counts only ever
     grow with the prefix, so the prune is sound.
+
+    The complement x -> n-1-x maps solutions to solutions.  Under the
+    empty prefix, and under [(n-1)/2] at odd n, the subtree of a value
+    v > n-1-v is the mirror image of one already searched, so its nodes
+    are counted without being visited and its solutions are the mirror's
+    complements.  A budget that would run out inside such a subtree has
+    it searched for real, so the search stops at exactly the node it
+    would stop at without the mirror, with the same solutions found.
     """
     if not 2 <= m <= n:
         raise ValueError("need 2 <= m <= n")
@@ -135,32 +143,51 @@ class _Search:
 
     def run(self) -> tuple:
         try:
-            self._extend(0)
+            self._extend(0, True)
             return self.found, self.nodes, True
         except _BudgetExceeded:
             return self.found, self.nodes, False
 
-    def _extend(self, depth: int) -> None:
-        n, state, used = self.n, self.state, self.used
+    def _extend(self, depth: int, fixed: bool) -> None:
+        """Try every unused value after the prefix of length `depth`.
+
+        `fixed` says the prefix is its own complement, so the complement
+        maps the subtree of v onto that of n-1-v node for node: the prune
+        windows are the same for all patterns of one order.  A child whose
+        mirror n-1-v < v is done takes the mirror's node count and
+        complemented solutions, unless that count would cross the budget.
+        """
+        n, state, used, found = self.n, self.state, self.used, self.found
         if depth == n:
-            self.found.append(Permutation(tuple(state.prefix)))
+            found.append(Permutation(tuple(state.prefix)))
             return
         packed, diff = state.packed, state.diff
         high, low, guards = self.high, self.low[depth + 1], state.guards
         limit = self.limit
+        mirror = {}
         ext = 0
         for v in range(n):
             ext += diff[v]
             if used[v]:
                 continue
+            if fixed:
+                if n - 1 - v in mirror:
+                    size, solutions = mirror[n - 1 - v]
+                    if self.nodes + size <= limit:
+                        self.nodes += size
+                        found.extend(Permutation(tuple(n - 1 - x for x in p.images))
+                                     for p in solutions)
+                        continue
+                start, first = self.nodes, len(found)
             self.nodes += 1
             if self.nodes > limit:
                 raise _BudgetExceeded
             y = packed + ext
-            if ((high - y) & (y + low) & guards) != guards:
-                continue
-            used[v] = True
-            state.push(v, ext)
-            self._extend(depth + 1)
-            state.pop(ext)
-            used[v] = False
+            if ((high - y) & (y + low) & guards) == guards:
+                used[v] = True
+                state.push(v, ext)
+                self._extend(depth + 1, fixed and 2 * v == n - 1)
+                state.pop(ext)
+                used[v] = False
+            if fixed:
+                mirror[v] = (self.nodes - start, found[first:])

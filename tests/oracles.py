@@ -6,9 +6,11 @@ shares no algorithmic structure with the library's fast paths.
 """
 
 import cmath
+import functools
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,3 +187,51 @@ def brute_fourier(s: ZnSubset, k: int) -> complex:
 def brute_inversions(images) -> int:
     return sum(1 for i in range(len(images)) for j in range(i + 1, len(images))
                if images[i] > images[j])
+
+
+class SearchTrace(NamedTuple):
+    total: int          # nodes of the whole tree
+    hits: list          # (node index at which it is reached, images), in DFS order
+    root_starts: list   # node index of each value tried at the root
+
+
+def brute_search_trace(n: int, m: int) -> SearchTrace:
+    """The node order of search_perfect(n, m), replayed by a plain DFS.
+
+    Values are tried in increasing order after the prefix, and each value
+    tried is one node, numbered from 1.  A prefix of length L is kept
+    when every order-k count (2 <= k <= m) of its standardized pattern,
+    recounted by brute_profile, lies in [C(n,k)/k! - C(n,k) + C(L,k),
+    C(n,k)/k!].  With budget B the search returns the hits of index <= B,
+    min(total, B + 1) nodes, and exhaustive = (B >= total).
+    """
+    targets = {k: math.comb(n, k) // math.factorial(k) for k in range(2, m + 1)}
+    if any(math.comb(n, k) % math.factorial(k) for k in targets):
+        return SearchTrace(0, [], [])
+    nodes, hits, root_starts = 0, [], []
+
+    @functools.cache  # the verdict depends on the standardized pattern only
+    def kept(pattern):
+        for k, target in targets.items():
+            floor = target - math.comb(n, k) + math.comb(len(pattern), k)
+            counts = brute_profile(Permutation(pattern), k)
+            if not all(floor <= c <= target for c in counts):
+                return False
+        return True
+
+    def dfs(prefix):
+        nonlocal nodes
+        if len(prefix) == n:
+            hits.append((nodes, tuple(prefix)))
+            return
+        for v in range(n):
+            if v in prefix:
+                continue
+            nodes += 1
+            if not prefix:
+                root_starts.append(nodes)
+            if kept(standardize(prefix + [v])):
+                dfs(prefix + [v])
+
+    dfs([])
+    return SearchTrace(nodes, hits, root_starts)

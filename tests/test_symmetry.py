@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -5,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from oracles import brute_inversions, brute_profile
+from oracles import brute_inversions, brute_profile, brute_search_trace
 from quasiperm.core import Permutation
 from quasiperm.patterns import PrefixCounts, patterns_of_order, standardize
 from quasiperm.symmetry import (
@@ -202,3 +203,96 @@ def test_search_at_size_limit_completes():
     # h(5) = 128 is in reach
     res = search_perfect(h(5), 5, budget=50)
     assert res.nodes_explored == 51 and not res.exhaustive
+
+
+def expected_stop(trace, budget):
+    """(found, nodes_explored, exhaustive) of a search with this budget,
+    read off the brute-force trace of the whole tree."""
+    found = sorted(images for index, images in trace.hits if index <= budget)
+    return found, min(trace.total, budget + 1), budget >= trace.total
+
+
+def search_stop(n, m, budget):
+    res = search_perfect(n, m, budget)
+    return [p.images for p in res.found], res.nodes_explored, res.exhaustive
+
+
+cached_trace = functools.cache(brute_search_trace)
+
+
+@functools.cache
+def counted_search(n, m, budget=None):
+    """search_perfect(n, m, budget) and the number of PrefixCounts.push
+    calls it made."""
+    calls = 0
+    push = PrefixCounts.push
+
+    def counting_push(self, a, ext_a):
+        nonlocal calls
+        calls += 1
+        push(self, a, ext_a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PrefixCounts, "push", counting_push)
+        res = search_perfect(n, m, budget)
+    return res, calls
+
+
+def test_every_budget_stops_like_the_trace_oracle():
+    for n in (4, 5):
+        t = cached_trace(n, 2)
+        assert t.total == search_perfect(n, 2).nodes_explored
+        for budget in range(t.total + 2):
+            assert search_stop(n, 2, budget) == expected_stop(t, budget), (n, budget)
+
+
+def test_budget_at_root_subtree_boundaries_stops_like_the_trace_oracle():
+    # the root children 4..7 of n = 8 mirror 3..0; a budget just below,
+    # at or above the end of a subtree stops before, at or after its last node
+    t = cached_trace(8, 2)
+    ends = [start - 1 for start in t.root_starts[1:]] + [t.total]
+    assert len(ends) == 8
+    for end in ends:
+        for budget in (end - 1, end, end + 1):
+            assert search_stop(8, 2, budget) == expected_stop(t, budget), budget
+
+
+def test_seeded_budgets_stop_like_the_trace_oracle():
+    t = cached_trace(8, 2)
+    rng = random.Random(9)
+    for budget in [rng.randrange(t.total + 2) for _ in range(20)]:
+        assert search_stop(8, 2, budget) == expected_stop(t, budget), budget
+
+
+def test_budget_stops_in_the_mirrored_half_are_pinned():
+    # (9, 3): the root children 5..8 mirror 3..0 and start at node 333561,
+    # so a budget of 333560 stops at the first node of a mirrored child;
+    # the second solution, the complement of the first, is reached at node
+    # 450152 inside the subtree of 6
+    first = (2, 3, 8, 7, 4, 1, 0, 5, 6)
+    second = (6, 5, 0, 1, 4, 7, 8, 3, 2)
+    for budget, found in ((333_560, [first]), (450_152, [first, second])):
+        assert search_stop(9, 3, budget) == (found, budget + 1, False), budget
+
+
+def test_mirrored_subtrees_are_counted_not_searched():
+    # the complement maps the subtree of v onto that of n-1-v under the
+    # empty prefix and [(n-1)/2], so half of each tree is never pushed
+    res, pushes = counted_search(9, 3)
+    assert res.nodes_explored == 597_879 and pushes <= 136_725
+    res, pushes = counted_search(8, 2)
+    assert res.nodes_explored == 99_856 and pushes <= 31_714
+    # a budget that ends inside the root child 0 never reaches a mirror
+    res, pushes = counted_search(13, 2, 200_000)
+    assert res.nodes_explored == 200_001 and pushes == 62_148
+
+
+@pytest.mark.parametrize("n, m", [(4, 2), (5, 2), (8, 2), (9, 3)])
+def test_exhaustive_found_is_closed_under_the_symmetry_group(n, m):
+    # perfect m-symmetry is invariant under complement, reverse and inverse
+    res, _ = counted_search(n, m)
+    assert res.exhaustive and res.found
+    found = {p.images for p in res.found}
+    assert {tuple(n - 1 - x for x in p) for p in found} == found
+    assert {p[::-1] for p in found} == found
+    assert {Permutation(p).inverse().images for p in found} == found
