@@ -6,6 +6,10 @@ Every invocation emits exactly one JSON document on stdout:
 
 Diagnostics go to stderr.  Exit codes: 0 success, 1 usage error,
 2 invalid input, 3 internal failure.
+
+Each handler imports the modules it computes with, so `--version`,
+invdist, search-symmetric and pattern-count at any order but 2 never
+import numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from . import balance, construct, patterns, permdisc, symmetry
 from .core import (
     CyclicInterval,
     ParseError,
@@ -138,6 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze_set(args) -> dict:
+    from . import balance
+
     s = parse_set(_read(args.set))
     value, witness = balance.max_interval_discrepancy(s)
     count, parts = components(s)
@@ -159,6 +164,8 @@ def cmd_analyze_set(args) -> dict:
 
 
 def cmd_analyze_perm(args) -> dict:
+    from . import permdisc
+
     sigma = parse_permutation(_read(args.perm))
     if args.sample is not None:
         value = permdisc.sampled_discrepancy_lower_bound(
@@ -184,6 +191,10 @@ def cmd_analyze_perm(args) -> dict:
 
 
 def cmd_pattern_count(args) -> dict:
+    from . import patterns
+
+    if args.m < 1:
+        raise ValueError(f"pattern order --m {args.m} is below 1")
     sigma = parse_permutation(_read(args.perm))
     if args.pattern is not None:
         tau = parse_permutation(args.pattern)
@@ -206,6 +217,8 @@ def cmd_pattern_count(args) -> dict:
 
 
 def cmd_matrix(args) -> dict:
+    from . import patterns
+
     mats = patterns.build_pattern_matrices(args.m)
     lam = patterns.top_eigenvalue(mats.A)
     out = {
@@ -221,6 +234,8 @@ def cmd_matrix(args) -> dict:
 
 
 def cmd_construct(args) -> dict:
+    from . import construct, permdisc
+
     sigma = construct.digit_reversal(args.n, args.k)
     out = {
         "base": args.n,
@@ -236,6 +251,8 @@ def cmd_construct(args) -> dict:
 
 
 def cmd_random_stats(args) -> dict:
+    from . import construct
+
     sample = construct.mc_discrepancy_stats(
         args.n, args.trials, args.seed, threads=_threads(args))
     return {
@@ -250,6 +267,8 @@ def cmd_random_stats(args) -> dict:
 
 
 def cmd_invdist(args) -> dict:
+    from . import construct
+
     dist = construct.inversion_distribution(args.n)
     return {
         "n": args.n,
@@ -260,6 +279,8 @@ def cmd_invdist(args) -> dict:
 
 
 def cmd_search_symmetric(args) -> dict:
+    from . import symmetry
+
     res = symmetry.search_perfect(args.n, args.m, args.budget)
     return {
         "n": args.n,
@@ -271,6 +292,8 @@ def cmd_search_symmetric(args) -> dict:
 
 
 def cmd_certify(args) -> dict:
+    from . import balance
+
     s = parse_set(_read(args.set))
     cert = balance.balance_certificate(s, seed=args.seed)
     return {

@@ -15,10 +15,7 @@ from math import factorial
 from statistics import median
 from typing import Sequence
 
-import numpy as np
-
 from .core import Permutation
-from .permdisc import perm_discrepancy
 
 MAX_PRODUCT_SIZE = 1 << 24
 
@@ -101,6 +98,8 @@ def random_permutation(n: int, seed: int) -> Permutation:
     """
     if n < 1:
         raise ValueError("size must be positive")
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
     images = list(range(n))
     for i in range(n - 1, 0, -1):
@@ -167,6 +166,9 @@ def mc_discrepancy_stats(n: int, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    # Loaded before the pool starts, so forked workers inherit it and numpy.
+    from . import permdisc  # noqa: F401
+
     trial_seeds = [seed ^ t for t in range(trials)]
     if threads > 1 and trials > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -184,6 +186,8 @@ def mc_discrepancy_stats(n: int, trials: int, seed: int,
 
 
 def _trial_discrepancy(args: tuple) -> int:
+    from .permdisc import perm_discrepancy
+
     n, trial_seed = args
     sigma = random_permutation(n, trial_seed)
     return perm_discrepancy(sigma).scaled_D

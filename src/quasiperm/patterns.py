@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Permutation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_PROFILE_ORDER = 6
 MAX_PROFILE_STEPS = 5_000_000
@@ -63,6 +64,8 @@ def _inversions(values: Sequence[int]) -> int:
     before a lower-half one are its column in the merged block minus its
     rank in its own half.
     """
+    import numpy as np
+
     n = len(values)
     bits = max(n - 1, 0).bit_length()
     size = 1 << bits
@@ -113,6 +116,8 @@ def profile(sigma: Permutation, m: int) -> ProfileVector:
     exceed MAX_PROFILE_STEPS.
     """
     n = sigma.n
+    if m < 0:
+        raise ValueError(f"order {m} is negative")
     if m > n:
         raise ValueError(f"order {m} exceeds host size {n}")
     if m > MAX_PROFILE_ORDER:
@@ -275,6 +280,8 @@ def build_pattern_matrices(m: int) -> PatternMatrix:
     """Exact integer B_m (entry = count of row pattern in column pattern)."""
     if not 1 <= m <= MAX_MATRIX_ORDER:
         raise ValueError(f"order {m} outside supported range 1..{MAX_MATRIX_ORDER}")
+    import numpy as np
+
     rows = list(itertools.permutations(range(m)))
     cols = list(itertools.permutations(range(m + 1)))
     row_index = {p: i for i, p in enumerate(rows)}
@@ -289,6 +296,8 @@ def build_pattern_matrices(m: int) -> PatternMatrix:
 def top_eigenvalue(a, *, tol: float = 1e-12, max_iter: int = 100_000) -> float:
     """Largest eigenvalue of a symmetric nonnegative matrix by power
     iteration with a Rayleigh quotient."""
+    import numpy as np
+
     a = np.asarray(a, dtype=np.float64)
     rng = np.random.default_rng(12345)
     v = rng.random(a.shape[0]) + 1.0
@@ -346,6 +355,8 @@ def circ(tau: Permutation) -> Permutation:
 def occurrence_graph_connected(m: int) -> bool:
     """Connectivity of the bipartite graph on S_m and S_{m+1} whose edges
     join a pattern to the longer patterns containing it."""
+    import numpy as np
+
     b = build_pattern_matrices(m).B
     n_rows, n_cols = b.shape
     seen_rows = [False] * n_rows

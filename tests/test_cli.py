@@ -13,6 +13,8 @@ from quasiperm.patterns import MAX_PROFILE_STEPS
 from quasiperm.permdisc import MAX_DISCREPANCY_SIZE
 from quasiperm.symmetry import MAX_SEARCH_SIZE
 
+from fresh import run_fresh
+
 
 def run_cli(capsys, *argv):
     code = dispatch(list(argv))
@@ -247,3 +249,44 @@ def test_threads_env_fallback(capsys, monkeypatch):
     r2 = run_json(capsys, "random-stats", "--n", "10", "--trials", "3",
                   "--seed", "4")["results"]
     assert r["scaled_D"] == r2["scaled_D"]
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_pattern_count_order_below_one_is_invalid_input(capsys, perm_file, m):
+    for extra in ((), ("--pattern", "0")):
+        assert dispatch(["pattern-count", "--perm", perm_file, "--m", m, *extra]) == 2
+        assert f"order --m {m} is below 1" in capsys.readouterr().err
+
+
+def _loads_numpy(*argv) -> bool:
+    """Run one CLI call in a fresh interpreter; report whether numpy got imported."""
+    script = ("import contextlib, io, sys\n"
+              "from quasiperm.cli import dispatch\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = dispatch(sys.argv[1:])\n"
+              "print(code, 'numpy' in sys.modules)")
+    proc = run_fresh(script, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.split()
+    assert code == "0", proc.stderr
+    return loaded == "True"
+
+
+@pytest.mark.parametrize("argv", [
+    ("invdist", "--n", "30"),
+    ("search-symmetric", "--n", "5", "--m", "2"),
+    ("pattern-count", "--m", "3"),
+    ("pattern-count", "--m", "3", "--pattern", "0 2 1"),
+], ids=" ".join)
+def test_subcommands_without_numeric_work_do_not_import_numpy(tmp_path, argv):
+    argv = list(argv)
+    if argv[0] == "pattern-count":
+        perm = tmp_path / "perm.txt"
+        perm.write_text("3 6 0 7 2 5 1 4\n")
+        argv[1:1] = ["--perm", str(perm)]
+    assert not _loads_numpy(*argv)
+
+
+def test_numeric_subcommand_imports_numpy(perm_file):
+    # the check above can see numpy when it is imported
+    assert _loads_numpy("analyze-perm", "--perm", perm_file)

@@ -25,6 +25,7 @@ from quasiperm.construct import (
 from quasiperm.patterns import count_pattern
 from quasiperm.permdisc import perm_discrepancy, restricted_discrepancies
 
+from fresh import run_fresh
 from oracles import brute_inversions
 
 
@@ -188,3 +189,39 @@ def test_mc_discrepancy_stats_caps_the_worker_count(monkeypatch):
     capped = mc_discrepancy_stats(12, 2, seed=5, threads=10 ** 5)
     assert len(recorded) == 1 and 1 <= recorded[0] <= 2
     assert capped == mc_discrepancy_stats(12, 2, seed=5, threads=1)
+
+
+def test_mc_discrepancy_stats_workers_inherit_numpy():
+    # The same serial fake pool as above, in a fresh interpreter: by the time
+    # the pool starts, permdisc and numpy are loaded, so forked workers
+    # inherit them instead of each importing them again.
+    script = """
+import concurrent.futures
+import sys
+
+from quasiperm.construct import mc_discrepancy_stats
+
+loaded = []
+
+
+class SerialPool:
+    def __init__(self, max_workers):
+        loaded.append({"quasiperm.permdisc", "numpy"} <= set(sys.modules))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+assert "numpy" not in sys.modules
+concurrent.futures.ProcessPoolExecutor = SerialPool
+mc_discrepancy_stats(12, 2, seed=5, threads=2)
+assert loaded == [True], loaded
+"""
+    proc = run_fresh(script)
+    assert proc.returncode == 0, proc.stderr

@@ -95,6 +95,11 @@ def test_profile_step_limit_raises_before_allocating():
     assert profile(big4, 2).counts == (math.comb(n4, 2), 0)
 
 
+def test_profile_negative_order_names_the_order():
+    with pytest.raises(ValueError, match="order -1"):
+        profile(Permutation((1, 0, 2)), -1)
+
+
 def test_profile_sums_to_binomial():
     rng = random.Random(43)
     for n, m in ((8, 2), (9, 3), (10, 4)):
