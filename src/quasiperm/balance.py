@@ -260,21 +260,30 @@ def balance_certificate(s: ZnSubset, *, seed: int = 0) -> BalanceCertificate:
         eps_E_half=stat_e / n, witness_E_half=witness_e,
         eps_S=eps_s, eps_T=eps_t, witness_T_length=witness_t_len,
         implication_checks=_implication_checks(
-            scaled_d, dilated, mags, eps_mb=eps_mb, eps_s=eps_s, eps_t=eps_t),
+            scaled_d, s.size, dilated, mags,
+            eps_mb=eps_mb, eps_s=eps_s, eps_t=eps_t),
     )
 
 
-def _implication_checks(scaled_d: int, dilated: np.ndarray, mags: np.ndarray,
-                        *, eps_mb: Fraction, eps_s: float, eps_t: float) -> dict:
+def _implication_checks(scaled_d: int, size: int, dilated: np.ndarray,
+                        mags: np.ndarray, *, eps_mb: Fraction, eps_s: float,
+                        eps_t: float) -> dict:
     """The quantitative inequalities linking the balance properties, from
-    n*D(S), the dilation discrepancies n*D(kS) and the magnitudes |S~(k)|."""
+    n*D(S), |S|, the dilation discrepancies n*D(kS) and the magnitudes
+    |S~(k)|."""
     n = len(mags)
     ks = _nonzero_ks(n)
     tol = 1e-9 * n
     checks = {}
 
-    # piecewise balance bounds multiple balance: D(kS) <= 2 eps_PB n |k|
-    checks["pb_implies_mb"] = bool(np.all(dilated <= 2 * scaled_d * sym_ks(n)[1:]))
+    # piecewise balance bounds multiple balance.  kS meets J where S meets
+    # T = k^-1 J, a union of at most 2|k| intervals.  |T| = |J| when
+    # gcd(k, n) = 1; in general n * ||T| - |J|| is the n-scaled discrepancy
+    # of the multiset kZ_n on J, and n * D(kZ_n) = n * (gcd(k, n) - 1).  Hence
+    # n * n D(kS) <= 2|k| * n * n D(S) + |S| * n * D(kZ_n), divided here by n.
+    k = np.arange(1, n)
+    checks["pb_implies_mb"] = bool(np.all(
+        dilated <= 2 * scaled_d * sym_ks(n)[1:] + size * (np.gcd(k, n) - 1)))
 
     # multiple balance bounds the k-th coefficient (valid for eps <= pi/8)
     if float(eps_mb) <= math.pi / 8:

@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -65,18 +64,6 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("QUASIPERM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise UsageError(f"bad QUASIPERM_THREADS: {env!r}") from exc
-    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +215,7 @@ def cmd_matrix(args) -> dict:
         "lambda_max": lam,
         "connected": patterns.occurrence_graph_connected(args.m),
     }
-    if args.m <= 4:
+    if args.m <= patterns.MAX_RANK_ORDER:
         out["rank_B"] = patterns.rank_of_B(args.m)
     return out
 
@@ -254,7 +241,7 @@ def cmd_random_stats(args) -> dict:
     from . import construct
 
     sample = construct.mc_discrepancy_stats(
-        args.n, args.trials, args.seed, threads=_threads(args))
+        args.n, args.trials, args.seed, threads=args.threads)
     return {
         "n": args.n,
         "trials": args.trials,

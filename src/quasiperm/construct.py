@@ -13,11 +13,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from statistics import median
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .core import Permutation
 
 MAX_PRODUCT_SIZE = 1 << 24
+
+# Least trials * n**3 at which mc_discrepancy_stats starts a process pool.
+# Below it, starting the workers and shipping the trials to them cost more
+# than the second core saves: on a 2-core x86-64 machine the pool lost at
+# every measured (n, trials) below 1e7 and won at nearly every one from 5e7.
+POOL_MIN_WORK = 5 * 10 ** 7
 
 
 class ProductOverflowError(ValueError):
@@ -158,27 +164,31 @@ class DiscrepancySample:
 
 
 def mc_discrepancy_stats(n: int, trials: int, seed: int,
-                         threads: int = 1) -> DiscrepancySample:
+                         threads: Optional[int] = 1) -> DiscrepancySample:
     """Draw random permutations and report exact D(sigma) / sqrt(n ln n).
 
-    Each trial derives its own seed (seed xor index), so results are
-    independent of how trials are scheduled.
+    Trial t draws its permutation from seed ^ t, so the result does not
+    depend on where the trials run.  threads caps the worker processes at
+    min(threads, trials, cores), and None means every core.  A process pool
+    is started only when that cap exceeds 1 and trials * n**3 reaches
+    POOL_MIN_WORK; otherwise the trials run in this process.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    # Loaded before the pool starts, so forked workers inherit it and numpy.
-    from . import permdisc  # noqa: F401
-
-    trial_seeds = [seed ^ t for t in range(trials)]
-    if threads > 1 and trials > 1:
+    cores = os.cpu_count() or 1
+    workers = min(cores if threads is None else threads, trials, cores)
+    tasks = [(n, seed ^ t) for t in range(trials)]
+    if workers > 1 and trials * n ** 3 >= POOL_MIN_WORK:
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(threads, trials, os.cpu_count() or 1)
+        # Loaded before the pool starts, so forked workers inherit it and
+        # numpy; workers started by spawn or forkserver import them again.
+        from . import permdisc  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            scaled = list(pool.map(_trial_discrepancy,
-                                   [(n, s) for s in trial_seeds]))
+            scaled = list(pool.map(_trial_discrepancy, tasks))
     else:
-        scaled = [_trial_discrepancy((n, s)) for s in trial_seeds]
+        scaled = list(map(_trial_discrepancy, tasks))
     norm = math.sqrt(n * math.log(n)) if n > 1 else 1.0
     ratios = tuple((v / n) / norm for v in scaled)
     return DiscrepancySample(n, trials, seed, tuple(scaled), ratios,

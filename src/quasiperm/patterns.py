@@ -22,6 +22,10 @@ if TYPE_CHECKING:
 MAX_PROFILE_ORDER = 6
 MAX_PROFILE_STEPS = 5_000_000
 MAX_MATRIX_ORDER = 5
+MAX_RANK_ORDER = 4  # largest m for rank_of_B, and for the rank_B that matrix reports
+# top_eigenvalue stops when two Rayleigh quotients agree to POWER_TOL
+POWER_TOL = 1e-12
+POWER_MAX_ITER = 100_000
 
 
 class ConvergenceError(RuntimeError):
@@ -293,7 +297,7 @@ def build_pattern_matrices(m: int) -> PatternMatrix:
     return PatternMatrix(m, b, b.T @ b)
 
 
-def top_eigenvalue(a, *, tol: float = 1e-12, max_iter: int = 100_000) -> float:
+def top_eigenvalue(a) -> float:
     """Largest eigenvalue of a symmetric nonnegative matrix by power
     iteration with a Rayleigh quotient."""
     import numpy as np
@@ -303,23 +307,23 @@ def top_eigenvalue(a, *, tol: float = 1e-12, max_iter: int = 100_000) -> float:
     v = rng.random(a.shape[0]) + 1.0
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = a @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
         new_lam = float(v @ (a @ v))
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
+        if abs(new_lam - lam) <= POWER_TOL * max(1.0, abs(new_lam)):
             return new_lam
         lam = new_lam
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
+    raise ConvergenceError(f"power iteration did not converge in {POWER_MAX_ITER} steps")
 
 
 def rank_of_B(m: int) -> int:
     """Exact rank of B_m by fraction-free elimination over the integers."""
-    if m > 4:
-        raise ValueError("rank computation supported for m <= 4")
+    if m > MAX_RANK_ORDER:
+        raise ValueError(f"rank computation supported for m <= {MAX_RANK_ORDER}")
     b = [[int(x) for x in row] for row in build_pattern_matrices(m).B]
     rows, cols = len(b), len(b[0])
     rank = 0

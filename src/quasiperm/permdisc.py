@@ -31,7 +31,6 @@ from .core import (
     CyclicInterval,
     ModulusMismatchError,
     Permutation,
-    ZnSubset,
     image_of_interval,
 )
 from .balance import profile_discrepancy, scaled_discrepancy_in
@@ -187,12 +186,6 @@ def two_pattern_balance(sigma: Permutation, i: CyclicInterval,
     C(w, 2) - 2 * inversions."""
     values = _window_values(sigma, i, j)
     return comb(len(values), 2) - 2 * _count_in(values, Permutation((1, 0)))
-
-
-def ascent_pairs_across(sigma: Permutation, s: ZnSubset, t: ZnSubset) -> int:
-    """Pairs x in S, y in T with x < y and sigma(x) < sigma(y)."""
-    return sum(1 for x in s.members for y in t.members
-               if x < y and sigma.images[x] < sigma.images[y])
 
 
 def exclusion_lower_bound(n: int, m: int) -> float:

@@ -22,10 +22,6 @@ class SearchBudgetRequired(ValueError):
     """Search space too large without an explicit node budget."""
 
 
-class SearchCapExceeded(RuntimeError):
-    """The documented search cap was reached before an answer was found."""
-
-
 def divisibility_D(n: int, m: int) -> bool:
     """Whether m! divides C(n, m)."""
     if m > n:
@@ -33,15 +29,15 @@ def divisibility_D(n: int, m: int) -> bool:
     return comb(n, m) % factorial(m) == 0
 
 
-def h(m: int, *, cap: int = 1_000_000) -> int:
+def h(m: int) -> int:
     """Least n >= m passing the divisibility prerequisite for all orders
     from 2 up to m."""
     if not 2 <= m <= 8:
         raise ValueError("supported orders are 2..8")
-    for n in range(m, cap + 1):
-        if all(divisibility_D(n, mp) for mp in range(2, m + 1)):
-            return n
-    raise SearchCapExceeded(f"no admissible n found up to {cap}")
+    n = m
+    while not all(divisibility_D(n, mp) for mp in range(2, m + 1)):
+        n += 1
+    return n
 
 
 def is_perfect_m_symmetric(sigma: Permutation, m: int) -> bool:

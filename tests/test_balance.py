@@ -184,6 +184,23 @@ def test_certificate_implications_hold_on_random_sets():
             assert all(cert.implication_checks.values()), cert.implication_checks
 
 
+def test_certificate_implications_hold_exhaustive_and_on_full_sets():
+    for n in range(1, 11):
+        for mask in range(1 << n):
+            s = ZnSubset(n, frozenset(x for x in range(n) if mask >> x & 1))
+            checks = balance_certificate(s).implication_checks
+            assert all(checks.values()), (n, mask, checks)
+    for n in range(4, 65):
+        if all(n % p for p in range(2, n)):
+            continue
+        full = ZnSubset.full(n)
+        # the pb_implies_mb bound takes n * D(kZ_n) to be n * (gcd(k, n) - 1)
+        for k in range(1, n):
+            assert multiple_discrepancy(full, k) == n * (math.gcd(k, n) - 1)
+        checks = balance_certificate(full).implication_checks
+        assert all(checks.values()), (n, checks)
+
+
 def test_certificate_size_limit_raises_before_allocating():
     s = ZnSubset.empty(MAX_CERTIFICATE_SIZE + 1)
     tracemalloc.start()
@@ -255,15 +272,13 @@ PINNED_CERTIFICATES = [
         eps_MB=Fraction(0), witness_MB=0,
         eps_E_half=0.0, witness_E_half=1, eps_S=0.0, eps_T=0.0,
         witness_T_length=0, implication_checks=ALL_CHECKS_HOLD)),
-    # kS of the full set is unbalanced when gcd(k, n) > 1, so the PB => MB
-    # check, which assumes |k^-1 J| = |J|, reports False here
+    # kS of the full set is unbalanced when gcd(k, n) > 1, so eps_MB > 0
     (ZnSubset.full(12), 0, BalanceCertificate(
         n=12, size=12, eps_B=Fraction(0), witness_B=CyclicInterval.empty(12),
         eps_PB=Fraction(0), witness_PB=(), pb_policy="exhaustive c(T)<=2",
         eps_MB=Fraction(5, 72), witness_MB=6,
         eps_E_half=0.0, witness_E_half=1, eps_S=0.0, eps_T=0.0,
-        witness_T_length=0,
-        implication_checks={**ALL_CHECKS_HOLD, "pb_implies_mb": False})),
+        witness_T_length=0, implication_checks=ALL_CHECKS_HOLD)),
     (ZnSubset.full(1), 0, BalanceCertificate(
         n=1, size=1, eps_B=Fraction(0), witness_B=CyclicInterval.empty(1),
         eps_PB=Fraction(0), witness_PB=(), pb_policy="exhaustive c(T)<=2",

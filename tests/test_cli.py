@@ -241,16 +241,6 @@ def test_entry_point_subprocess(perm_file):
     assert json.loads(proc.stdout)["results"]["scaled_D"] == 4
 
 
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("QUASIPERM_THREADS", "2")
-    r = run_json(capsys, "random-stats", "--n", "10", "--trials", "3",
-                 "--seed", "4")["results"]
-    monkeypatch.setenv("QUASIPERM_THREADS", "1")
-    r2 = run_json(capsys, "random-stats", "--n", "10", "--trials", "3",
-                  "--seed", "4")["results"]
-    assert r["scaled_D"] == r2["scaled_D"]
-
-
 @pytest.mark.parametrize("m", ["0", "-1"])
 def test_pattern_count_order_below_one_is_invalid_input(capsys, perm_file, m):
     for extra in ((), ("--pattern", "0")):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasiperm import construct
 from quasiperm.core import Permutation
 from quasiperm.construct import (
     InversionDistribution,
@@ -158,7 +160,9 @@ def test_inversion_distribution_symmetric_unimodal():
         assert all(counts[i] <= counts[i + 1] for i in range(mid))
 
 
-def test_mc_discrepancy_stats_reproducible_and_thread_invariant():
+def test_mc_discrepancy_stats_reproducible_and_thread_invariant(monkeypatch):
+    # a zero threshold sends any input with two or more workers to the pool
+    monkeypatch.setattr(construct, "POOL_MIN_WORK", 0)
     a = mc_discrepancy_stats(12, 6, seed=3)
     b = mc_discrepancy_stats(12, 6, seed=3, threads=3)
     assert a == b
@@ -167,14 +171,17 @@ def test_mc_discrepancy_stats_reproducible_and_thread_invariant():
         assert ratio == pytest.approx((scaled / 12) / math.sqrt(12 * math.log(12)))
 
 
-def test_mc_discrepancy_stats_caps_the_worker_count(monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace ProcessPoolExecutor by a serial stand-in on a 4-core host;
+    returns the list of max_workers each constructed pool was given."""
     import concurrent.futures
 
-    recorded = []
+    constructed = []
 
     class SerialPool:
         def __init__(self, max_workers):
-            recorded.append(max_workers)
+            constructed.append(max_workers)
 
         def __enter__(self):
             return self
@@ -186,20 +193,36 @@ def test_mc_discrepancy_stats_caps_the_worker_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return constructed
+
+
+def test_mc_discrepancy_stats_caps_the_worker_count(monkeypatch, serial_pool):
+    monkeypatch.setattr(construct, "POOL_MIN_WORK", 0)
     capped = mc_discrepancy_stats(12, 2, seed=5, threads=10 ** 5)
-    assert len(recorded) == 1 and 1 <= recorded[0] <= 2
+    assert serial_pool == [2]
     assert capped == mc_discrepancy_stats(12, 2, seed=5, threads=1)
+    mc_discrepancy_stats(12, 6, seed=5, threads=None)
+    assert serial_pool == [2, 4]
+
+
+def test_mc_discrepancy_stats_small_work_starts_no_pool(serial_pool):
+    serial = mc_discrepancy_stats(12, 6, seed=5, threads=1)
+    for threads in (8, None):
+        assert mc_discrepancy_stats(12, 6, seed=5, threads=threads) == serial
+    assert serial_pool == []
 
 
 def test_mc_discrepancy_stats_workers_inherit_numpy():
-    # The same serial fake pool as above, in a fresh interpreter: by the time
-    # the pool starts, permdisc and numpy are loaded, so forked workers
-    # inherit them instead of each importing them again.
+    # A serial fake pool in a fresh interpreter: by the time the pool starts,
+    # permdisc and numpy are loaded, so forked workers inherit them instead
+    # of each importing them again.
     script = """
 import concurrent.futures
+import os
 import sys
 
-from quasiperm.construct import mc_discrepancy_stats
+from quasiperm import construct
 
 loaded = []
 
@@ -220,7 +243,9 @@ class SerialPool:
 
 assert "numpy" not in sys.modules
 concurrent.futures.ProcessPoolExecutor = SerialPool
-mc_discrepancy_stats(12, 2, seed=5, threads=2)
+os.cpu_count = lambda: 2
+construct.POOL_MIN_WORK = 0
+construct.mc_discrepancy_stats(12, 2, seed=5, threads=2)
 assert loaded == [True], loaded
 """
     proc = run_fresh(script)

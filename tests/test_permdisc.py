@@ -7,11 +7,10 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasiperm.core import CyclicInterval, Permutation, ZnSubset
+from quasiperm.core import CyclicInterval, Permutation
 from quasiperm.permdisc import (
     MAX_DISCREPANCY_SIZE,
     PermDiscrepancyReport,
-    ascent_pairs_across,
     discrepancy_of_pair,
     exclusion_lower_bound,
     perm_discrepancy,
@@ -204,13 +203,6 @@ def test_two_pattern_balance():
     assert two_pattern_balance(sigma, full, full) == 0
     asc = Permutation.identity(4)
     assert two_pattern_balance(asc, full, full) == 6
-
-
-def test_ascent_pairs_across():
-    sigma = Permutation.identity(5)
-    s = ZnSubset.from_elements(5, [0, 1])
-    t = ZnSubset.from_elements(5, [3, 4])
-    assert ascent_pairs_across(sigma, s, t) == 4
 
 
 def test_exclusion_lower_bound_example():
