@@ -175,6 +175,8 @@ def mc_discrepancy_stats(n: int, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     cores = os.cpu_count() or 1
     workers = min(cores if threads is None else threads, trials, cores)
     tasks = [(n, seed ^ t) for t in range(trials)]

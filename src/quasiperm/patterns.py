@@ -34,6 +34,8 @@ class ConvergenceError(RuntimeError):
 
 def patterns_of_order(m: int) -> list:
     """All patterns of order m in lexicographic one-line order."""
+    if m < 1:
+        raise ValueError(f"pattern order {m} is below 1")
     return [Permutation(p) for p in itertools.permutations(range(m))]
 
 
@@ -151,9 +153,9 @@ def _pack(width: int, fields) -> int:
 
 @lru_cache(maxsize=64)
 def _step_tables(width: int, m: int) -> tuple:
-    """The guard bits and the add and remove steps of PrefixCounts(n, m)
-    for every n with this field width.  Built once per (width, m) and only
-    read afterwards, so every state of that shape shares them."""
+    """The guard bits and the steps of PrefixCounts(n, m) for every n with
+    this field width.  Built once per (width, m) and only read afterwards,
+    so every state of that shape shares them."""
 
     def unit(k, pattern):
         return 1 << (width * (_field_offset(k) + pattern_index(pattern)))
@@ -171,21 +173,14 @@ def _step_tables(width: int, m: int) -> tuple:
                 (order[j], units[j + 1] - units[j]) for j in range(k - 1)))
         tables.append(table)
     guards = _pack(width, [1 << (width - 1)] * _field_offset(m + 1))
-    return guards, _signed_steps(tables, 1), _signed_steps(tables, -1)
-
-
-def _signed_steps(tables: list, sign: int) -> tuple:
-    """The steps of `tables` times sign: 1 adds occurrences, -1 removes
-    them.  Orders 2 and 3 are unpacked for the flat loop in _shift."""
-    signed = [{key: (sign * first, tuple((i, sign * step) for i, step in steps))
-               for key, (first, steps) in table.items()} for table in tables]
-    first, ((_, step),) = signed[0][(0,)]
+    # orders 2 and 3 are unpacked for the flat loop in PrefixCounts.push
+    first, ((_, step),) = tables[0][(0,)]
     pairs = None
-    if len(signed) > 1:
-        asc_first, ((_, asc_x), (_, asc_a)) = signed[1][(0, 1)]
-        desc_first, ((_, desc_a), (_, desc_x)) = signed[1][(1, 0)]
+    if m >= 3:
+        asc_first, ((_, asc_x), (_, asc_a)) = tables[1][(0, 1)]
+        desc_first, ((_, desc_a), (_, desc_x)) = tables[1][(1, 0)]
         pairs = (asc_first, asc_x, asc_a, desc_first, desc_x, desc_a)
-    return first, step, pairs, tuple(signed[2:])
+    return guards, (first, step, pairs, tuple(tables[2:]))
 
 
 class PrefixCounts:
@@ -201,13 +196,17 @@ class PrefixCounts:
     `diff` holds the per-rank, per-value counts of the order-(k-1)
     occurrences as a difference array over v.  Appending a adds only the
     occurrences that end at a: the C(L, k-2) subsets of the prefix
-    followed by a, for each order k.  Removing a subtracts them again.
+    followed by a, for each order k.
+
+    There is no removal: a caller that must return to an earlier state
+    keeps that state's `packed`, `diff` and prefix length, pushes onto a
+    copy of `diff`, and puts the three back.
     """
 
     def __init__(self, n: int, m: int):
         # two spare bits: counts stay below the guard bit of `guards`
         self.width = max(comb(n, k) for k in range(2, m + 1)).bit_length() + 2
-        self.guards, self._add, self._remove = _step_tables(self.width, m)
+        self.guards, self._steps = _step_tables(self.width, m)
         self.prefix = []
         self.packed = 0
         self.diff = [0] * (n + 1)
@@ -228,47 +227,37 @@ class PrefixCounts:
         return sum(self.diff[:v + 1])
 
     def push(self, a: int, ext_a: int) -> None:
-        """Append the unused value a; ext_a must equal ext(a)."""
+        """Append the unused value a; ext_a must equal ext(a).
+
+        Updates `diff` in place with the steps of every occurrence that
+        ends at a.  Orders 2 and 3 take O(L) steps: the singleton (a) and
+        the pairs (x, a), grouped by whether x < a.  Each higher order k
+        enumerates its C(L, k-2) occurrences."""
         self.packed += ext_a
-        self._shift(a, self._add)
-        self.prefix.append(a)
-
-    def pop(self, ext_a: int) -> None:
-        """Undo the last push, given the ext_a it was passed."""
-        a = self.prefix.pop()
-        self._shift(a, self._remove)
-        self.packed -= ext_a
-
-    def _shift(self, a: int, steps: tuple) -> None:
-        """Apply the steps of every occurrence that ends at a.
-
-        Orders 2 and 3 take O(L) steps: the singleton (a) and the pairs
-        (x, a), grouped by whether x < a.  Each higher order k enumerates
-        its C(L, k-2) occurrences."""
         diff, prefix = self.diff, self.prefix
-        first, step, pairs, higher = steps
+        first, step, pairs, higher = self._steps
         diff[0] += first
         diff[a + 1] += step
-        if pairs is None:
-            return
-        asc_first, asc_x, asc_a, desc_first, desc_x, desc_a = pairs
-        lt = 0
-        for x in prefix:
-            if x < a:
-                diff[x + 1] += asc_x
-                lt += 1
-            else:
-                diff[x + 1] += desc_x
-        gt = len(prefix) - lt
-        diff[0] += lt * asc_first + gt * desc_first
-        diff[a + 1] += lt * asc_a + gt * desc_a
-        for k, table in enumerate(higher, start=4):
-            for c in itertools.combinations(prefix, k - 2):
-                vals = c + (a,)
-                first, steps = table[tuple(sorted(range(k - 1), key=vals.__getitem__))]
-                diff[0] += first
-                for i, step in steps:
-                    diff[vals[i] + 1] += step
+        if pairs is not None:
+            asc_first, asc_x, asc_a, desc_first, desc_x, desc_a = pairs
+            lt = 0
+            for x in prefix:
+                if x < a:
+                    diff[x + 1] += asc_x
+                    lt += 1
+                else:
+                    diff[x + 1] += desc_x
+            gt = len(prefix) - lt
+            diff[0] += lt * asc_first + gt * desc_first
+            diff[a + 1] += lt * asc_a + gt * desc_a
+            for k, table in enumerate(higher, start=4):
+                for c in itertools.combinations(prefix, k - 2):
+                    vals = c + (a,)
+                    first, steps = table[tuple(sorted(range(k - 1), key=vals.__getitem__))]
+                    diff[0] += first
+                    for i, step in steps:
+                        diff[vals[i] + 1] += step
+        prefix.append(a)
 
 
 @dataclass(frozen=True)

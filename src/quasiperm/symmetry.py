@@ -16,6 +16,8 @@ from .patterns import PrefixCounts, profile
 
 EXHAUSTIVE_SIZE_LIMIT = 10
 MAX_SEARCH_SIZE = 512
+# entries of the order-2 subtree table; (9, 2) has at most 2**9 * 37 states
+ORDER2_TABLE_CAP = 1 << 16
 
 
 class SearchBudgetRequired(ValueError):
@@ -79,9 +81,12 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
     empty prefix, and under [(n-1)/2] at odd n, the subtree of a value
     v > n-1-v is the mirror image of one already searched, so its nodes
     are counted without being visited and its solutions are the mirror's
-    complements.  A budget that would run out inside such a subtree has
-    it searched for real, so the search stops at exactly the node it
-    would stop at without the mirror, with the same solutions found.
+    complements.  At m = 2 a subtree is fixed by the prefix's value set
+    and inversion count, so each such state is searched once and its node
+    count and solutions are reused for every other prefix that reaches
+    it.  A budget that would run out inside a mirrored or reused subtree
+    has it searched for real, so the search stops at exactly the node it
+    would stop at without either shortcut, with the same solutions found.
     """
     if not 2 <= m <= n:
         raise ValueError("need 2 <= m <= n")
@@ -103,8 +108,7 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
         targets[mp] = q
 
     found, nodes, exhaustive = _Search(n, targets, budget).run()
-    found.sort(key=lambda p: p.images)
-    return SymmetrySearchResult(n, m, found, nodes, exhaustive)
+    return SymmetrySearchResult(n, m, [Permutation(p) for p in found], nodes, exhaustive)
 
 
 class _BudgetExceeded(Exception):
@@ -117,14 +121,26 @@ class _Search:
     The prune is one test on packed integers: with counts `y`, the guard
     bit of every field survives in (high - y) & (y + low) exactly when
     every field lies in its [floor, target] window.
+
+    A child is pushed onto a copy of the parent's `diff`; when it returns,
+    the parent puts back its own `diff`, `packed` and prefix length, so no
+    push is ever undone step by step.
+
+    At m = 2, ext(v) depends only on the set of values in the prefix and
+    the prune reads only the inversion count, so two prefixes with the
+    same value set and the same `packed` have the same subtree, node for
+    node.  `merged` maps each such (value-set bitmask, packed) searched to
+    the node count of its subtree and the suffixes of its solutions.  It
+    stops taking entries at ORDER2_TABLE_CAP, which bounds its memory at
+    large n; orders m >= 3 keep no table, since their prefixes rarely
+    share a state.
     """
 
     def __init__(self, n: int, targets: dict, budget: Optional[int]):
         self.n = n
         self.limit = inf if budget is None else budget
-        self.nodes = 0
         self.found = []
-        self.used = [False] * n
+        self.merged = {} if max(targets) == 2 else None
         state = self.state = PrefixCounts(n, max(targets))
         guard = 1 << (state.width - 1)
 
@@ -138,52 +154,87 @@ class _Search:
             for L in range(n + 1)]
 
     def run(self) -> tuple:
+        """(solutions as sorted one-line tuples, nodes, exhaustive)."""
         try:
-            self._extend(0, True)
-            return self.found, self.nodes, True
+            nodes, exhaustive = self._extend(0, True, 0, 0), True
         except _BudgetExceeded:
-            return self.found, self.nodes, False
+            # raised at the first node past the budget
+            nodes, exhaustive = self.limit + 1, False
+        return sorted(self.found), nodes, exhaustive
 
-    def _extend(self, depth: int, fixed: bool) -> None:
-        """Try every unused value after the prefix of length `depth`.
+    def _extend(self, depth: int, fixed: bool, mask: int, nodes: int) -> int:
+        """Try every unused value after the prefix of length `depth`, whose
+        value set is the bitmask `mask`, with `nodes` nodes counted so far;
+        return the count after its subtree.
 
         `fixed` says the prefix is its own complement, so the complement
         maps the subtree of v onto that of n-1-v node for node: the prune
         windows are the same for all patterns of one order.  A child whose
         mirror n-1-v < v is done takes the mirror's node count and
-        complemented solutions, unless that count would cross the budget.
+        complemented solutions, and a child whose order-2 state is in
+        `merged` takes that entry's node count and solutions, unless that
+        count would cross the budget; then the subtree is searched for
+        real, so the budget stops at the same node either way.
         """
-        n, state, used, found = self.n, self.state, self.used, self.found
+        n, state, found = self.n, self.state, self.found
         if depth == n:
-            found.append(Permutation(tuple(state.prefix)))
-            return
-        packed, diff = state.packed, state.diff
+            found.append(tuple(state.prefix))
+            return nodes
+        packed, diff, prefix = state.packed, state.diff, state.prefix
         high, low, guards = self.high, self.low[depth + 1], state.guards
-        limit = self.limit
+        limit, merged = self.limit, self.merged
         mirror = {}
         ext = 0
         for v in range(n):
             ext += diff[v]
-            if used[v]:
+            if mask >> v & 1:
                 continue
             if fixed:
                 if n - 1 - v in mirror:
                     size, solutions = mirror[n - 1 - v]
-                    if self.nodes + size <= limit:
-                        self.nodes += size
-                        found.extend(Permutation(tuple(n - 1 - x for x in p.images))
-                                     for p in solutions)
+                    if nodes + size <= limit:
+                        nodes += size
+                        found.extend(_complements(n, solutions))
                         continue
-                start, first = self.nodes, len(found)
-            self.nodes += 1
-            if self.nodes > limit:
+                start, first = nodes, len(found)
+            nodes += 1
+            if nodes > limit:
                 raise _BudgetExceeded
             y = packed + ext
             if ((high - y) & (y + low) & guards) == guards:
-                used[v] = True
-                state.push(v, ext)
-                self._extend(depth + 1, fixed and 2 * v == n - 1)
-                state.pop(ext)
-                used[v] = False
+                key = entry = None
+                if merged is not None:
+                    key = (mask | 1 << v, y)
+                    entry = merged.get(key)
+                if entry is not None and nodes + entry[0] <= limit:
+                    nodes += entry[0]
+                    if entry[1]:
+                        found.extend(_completions(prefix, v, entry[1]))
+                else:
+                    before, count = nodes, len(found)
+                    state.diff = diff.copy()
+                    state.push(v, ext)
+                    nodes = self._extend(depth + 1, fixed and 2 * v == n - 1,
+                                         mask | 1 << v, nodes)
+                    state.diff, state.packed = diff, packed
+                    prefix.pop()
+                    if key is not None and len(merged) < ORDER2_TABLE_CAP:
+                        merged[key] = (nodes - before, _suffixes(found, count, depth + 1))
             if fixed:
-                mirror[v] = (self.nodes - start, found[first:])
+                mirror[v] = (nodes - start, found[first:])
+        return nodes
+
+
+# Module-level, not comprehensions in _extend: a comprehension there would
+# turn the locals it reads into cells and slow the whole node loop.
+def _complements(n: int, solutions: list) -> list:
+    return [tuple(n - 1 - x for x in p) for p in solutions]
+
+
+def _completions(prefix: list, v: int, suffixes: tuple) -> list:
+    head = tuple(prefix) + (v,)
+    return [head + s for s in suffixes]
+
+
+def _suffixes(found: list, first: int, cut: int) -> tuple:
+    return tuple(p[cut:] for p in found[first:])

@@ -248,6 +248,15 @@ def test_pattern_count_order_below_one_is_invalid_input(capsys, perm_file, m):
         assert f"order --m {m} is below 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_random_stats_threads_below_one_is_invalid_input(capsys, threads):
+    argv = ["random-stats", "--n", "8", "--trials", "2", "--threads", threads]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"threads must be at least 1, got {threads}" in captured.err
+
+
 def _loads_numpy(*argv) -> bool:
     """Run one CLI call in a fresh interpreter; report whether numpy got imported."""
     script = ("import contextlib, io, sys\n"

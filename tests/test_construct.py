@@ -206,6 +206,12 @@ def test_mc_discrepancy_stats_caps_the_worker_count(monkeypatch, serial_pool):
     assert serial_pool == [2, 4]
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_mc_discrepancy_stats_rejects_threads_below_one(threads):
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        mc_discrepancy_stats(12, 2, seed=5, threads=threads)
+
+
 def test_mc_discrepancy_stats_small_work_starts_no_pool(serial_pool):
     serial = mc_discrepancy_stats(12, 6, seed=5, threads=1)
     for threads in (8, None):

@@ -174,3 +174,9 @@ def test_every_pattern_occurs_in_circ():
     for m in (2, 3, 4):
         for tau in patterns_of_order(m):
             assert count_pattern(circ(tau), tau) >= 1
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_patterns_of_order_below_one_names_the_order(m):
+    with pytest.raises(ValueError, match=f"pattern order {m} is below 1"):
+        patterns_of_order(m)

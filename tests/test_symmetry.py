@@ -8,6 +8,7 @@ import pytest
 
 from oracles import brute_inversions, brute_profile, brute_search_trace
 from quasiperm.core import Permutation
+from quasiperm import symmetry
 from quasiperm.patterns import PrefixCounts, patterns_of_order, standardize
 from quasiperm.symmetry import (
     MAX_SEARCH_SIZE,
@@ -163,15 +164,9 @@ def test_prefix_counts_match_profile_at_every_depth():
                             else (0,) * math.factorial(k))
                 assert state.counts(k) == expected, (images, length, k)
 
-        exts = []
         check(0)
         for length, a in enumerate(images, start=1):
-            exts.append(state.ext(a))
-            state.push(a, exts[-1])
-            check(length)
-        # popping restores every earlier state
-        for length in range(n - 1, -1, -1):
-            state.pop(exts.pop())
+            state.push(a, state.ext(a))
             check(length)
 
 
@@ -279,12 +274,50 @@ def test_mirrored_subtrees_are_counted_not_searched():
     # the complement maps the subtree of v onto that of n-1-v under the
     # empty prefix and [(n-1)/2], so half of each tree is never pushed
     res, pushes = counted_search(9, 3)
-    assert res.nodes_explored == 597_879 and pushes <= 136_725
+    assert res.nodes_explored == 597_879 and pushes == 136_725
+    # at m = 2 each (value set, inversion count) state is also pushed once
     res, pushes = counted_search(8, 2)
-    assert res.nodes_explored == 99_856 and pushes <= 31_714
+    assert res.nodes_explored == 99_856 and pushes == 1_392
     # a budget that ends inside the root child 0 never reaches a mirror
     res, pushes = counted_search(13, 2, 200_000)
-    assert res.nodes_explored == 200_001 and pushes == 62_148
+    assert res.nodes_explored == 200_001 and pushes == 3_389
+
+
+def mahonian(n, k):
+    """Permutations of size n with k inversions: the last value of an
+    (i+1)-prefix adds 0..i inversions over the first i values."""
+    counts = [1]
+    for i in range(n):
+        counts = [sum(counts[j - d] for d in range(i + 1) if 0 <= j - d < len(counts))
+                  for j in range(len(counts) + i)]
+    return counts[k] if k < len(counts) else 0
+
+
+def test_exhaustive_n9_m2_is_every_permutation_with_18_inversions():
+    # C(9,2)/2 = 18; the node count was measured before subtrees with
+    # equal order-2 states were merged
+    res, pushes = counted_search(9, 2)
+    assert res.nodes_explored == 882_693 and res.exhaustive
+    assert mahonian(4, 3) == 6 and mahonian(9, 18) == 29_228
+    images = [p.images for p in res.found]
+    assert len(set(images)) == len(images) == mahonian(9, 18)
+    assert all(brute_inversions(p) == 18 for p in images)
+    assert pushes == 3_545
+
+
+def test_order2_table_at_its_cap_stops_like_the_trace_oracle(monkeypatch):
+    # with room for two entries, almost every subtree is searched for real
+    # and the table's entries are reused only while they fit the budget
+    monkeypatch.setattr(symmetry, "ORDER2_TABLE_CAP", 2)
+    # the two entries are taken: 31 714 pushes without a table
+    assert counted_search.__wrapped__(8, 2)[1] == 31_710
+    t = cached_trace(5, 2)
+    for budget in range(t.total + 2):
+        assert search_stop(5, 2, budget) == expected_stop(t, budget), budget
+    t = cached_trace(8, 2)
+    rng = random.Random(12)
+    for budget in [rng.randrange(t.total + 2) for _ in range(100)]:
+        assert search_stop(8, 2, budget) == expected_stop(t, budget), budget
 
 
 @pytest.mark.parametrize("n, m", [(4, 2), (5, 2), (8, 2), (9, 3)])
