@@ -139,10 +139,7 @@ def _max_ratio(mags: np.ndarray, alpha: float) -> tuple:
 
 def _ratio_square_sum(mags: np.ndarray) -> float:
     """Sum over k != 0 of (mags[k] / |k|)^2."""
-    n = len(mags)
-    if n == 1:
-        return 0.0
-    return float(np.sum((mags[1:] / _nonzero_ks(n)) ** 2))
+    return float(np.sum((mags[1:] / _nonzero_ks(len(mags))) ** 2))
 
 
 def eigenvalue_bound_profile(s: SetLike, alpha: float) -> tuple:
@@ -172,8 +169,6 @@ def translation_statistic(s: ZnSubset, j: CyclicInterval) -> float:
     if s.n != j.n:
         raise ModulusMismatchError(f"moduli differ: {s.n} vs {j.n}")
     n = s.n
-    if n == 1:
-        return 0.0
     smags = fourier_spectrum(s).magnitudes()
     jmags = interval_spectrum_magnitudes(n, j.length)
     return float(np.sum((smags[1:] * jmags[1:]) ** 2) / n)

@@ -155,6 +155,8 @@ def cmd_analyze_perm(args) -> dict:
 
     sigma = parse_permutation(_read(args.perm))
     if args.sample is not None:
+        if args.sample < 0:
+            raise ValueError(f"--sample {args.sample} is below 0")
         value = permdisc.sampled_discrepancy_lower_bound(
             sigma, args.sample, args.seed)
         return {
@@ -345,11 +347,9 @@ def dispatch(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except SystemExit:
-        raise
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal failure: {exc}", file=sys.stderr)
         return 3

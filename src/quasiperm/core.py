@@ -275,27 +275,16 @@ def components(s: ZnSubset) -> tuple:
     empty set has none.
     """
     n = s.n
-    if s.size == 0:
-        return 0, []
     if s.size == n:
         return 1, [CyclicInterval.full(n)]
     ind = s.indicator()
-    runs = []
-    start = None
+    parts = []
     for x in range(n):
-        if ind[x] and start is None:
-            start = x
-        elif not ind[x] and start is not None:
-            runs.append((start, x - start))
-            start = None
-    if start is not None:
-        runs.append((start, n - start))
-    # wrap-around: a run ending at n-1 joins a run starting at 0
-    if len(runs) > 1 and ind[0] and ind[n - 1]:
-        first = runs.pop(0)
-        last = runs.pop()
-        runs.append((last[0], last[1] + first[1]))
-    parts = [CyclicInterval(n, st, ln) for st, ln in runs]
+        if ind[x] and not ind[x - 1]:  # ind[-1] is ind[n - 1]: runs wrap
+            length = 1
+            while ind[(x + length) % n]:
+                length += 1
+            parts.append(CyclicInterval(n, x, length))
     return len(parts), parts
 
 

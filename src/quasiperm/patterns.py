@@ -314,29 +314,20 @@ def rank_of_B(m: int) -> int:
     if m > MAX_RANK_ORDER:
         raise ValueError(f"rank computation supported for m <= {MAX_RANK_ORDER}")
     b = [[int(x) for x in row] for row in build_pattern_matrices(m).B]
-    rows, cols = len(b), len(b[0])
+    rows = len(b)
     rank = 0
-    pivot_col = 0
-    for r in range(rows):
-        while pivot_col < cols:
-            pivot = None
-            for i in range(r, rows):
-                if b[i][pivot_col]:
-                    pivot = i
-                    break
-            if pivot is None:
-                pivot_col += 1
-                continue
-            b[r], b[pivot] = b[pivot], b[r]
-            for i in range(r + 1, rows):
-                if b[i][pivot_col]:
-                    factor_i = b[i][pivot_col]
-                    factor_r = b[r][pivot_col]
-                    b[i] = [factor_r * x - factor_i * y
-                            for x, y in zip(b[i], b[r])]
-            rank += 1
-            pivot_col += 1
-            break
+    for col in range(len(b[0])):
+        pivot = next((i for i in range(rank, rows) if b[i][col]), None)
+        if pivot is None:
+            continue
+        b[rank], b[pivot] = b[pivot], b[rank]
+        for i in range(rank + 1, rows):
+            if b[i][col]:
+                factor_i = b[i][col]
+                factor_r = b[rank][col]
+                b[i] = [factor_r * x - factor_i * y
+                        for x, y in zip(b[i], b[rank])]
+        rank += 1
     return rank
 
 
@@ -350,25 +341,14 @@ def occurrence_graph_connected(m: int) -> bool:
     join a pattern to the longer patterns containing it."""
     import numpy as np
 
-    b = build_pattern_matrices(m).B
-    n_rows, n_cols = b.shape
-    seen_rows = [False] * n_rows
-    seen_cols = [False] * n_cols
-    stack = [("r", 0)]
-    seen_rows[0] = True
-    while stack:
-        side, i = stack.pop()
-        if side == "r":
-            for j in np.nonzero(b[i])[0]:
-                if not seen_cols[j]:
-                    seen_cols[j] = True
-                    stack.append(("c", int(j)))
-        else:
-            for r in np.nonzero(b[:, i])[0]:
-                if not seen_rows[r]:
-                    seen_rows[r] = True
-                    stack.append(("r", int(r)))
-    return all(seen_rows) and all(seen_cols)
+    adj = build_pattern_matrices(m).B > 0
+    rows = np.arange(adj.shape[0]) == 0
+    while True:
+        cols = adj[rows].any(axis=0)
+        grown = rows | adj[:, cols].any(axis=1)
+        if (grown == rows).all():
+            return bool(rows.all() and cols.all())
+        rows = grown
 
 
 def lex_first_container(tau: Permutation) -> Permutation:

@@ -56,6 +56,28 @@ def brute_piecewise_balance(n: int, s_mask: int) -> Fraction:
     return best
 
 
+def brute_components(s: ZnSubset) -> list:
+    """The maximal cyclic intervals contained in s, listed by start: every
+    window lying in s that no window one longer lying in s contains, with
+    the full circle once, starting at 0."""
+    n = s.n
+
+    def inside(start, length):
+        return all((start + i) % n in s.members for i in range(length))
+
+    parts = {}
+    for start in range(n):
+        for length in range(1, n + 1):
+            if not inside(start, length):
+                break
+            if length < n and (inside(start - 1, length + 1)
+                               or inside(start, length + 1)):
+                continue
+            window = frozenset((start + i) % n for i in range(length))
+            parts.setdefault(window, CyclicInterval(n, start, length))
+    return sorted(parts.values(), key=lambda iv: iv.start)
+
+
 def brute_perm_discrepancy(sigma: Permutation) -> int:
     """max over all interval pairs (I, J) of |n |sigma(I)∩J| - |I||J||.
 

@@ -79,7 +79,15 @@ def test_analyze_perm_sample_mode(capsys, perm_file):
     assert 0 <= r["scaled_D_lower_bound"] <= 4
     report = run_json(capsys, "analyze-perm", "--perm", perm_file,
                       "--sample", "0")
+    assert report["results"]["samples"] == 0
     assert report["results"]["scaled_D_lower_bound"] == 0
+
+
+def test_analyze_perm_negative_sample_is_invalid_input(capsys, perm_file):
+    assert dispatch(["analyze-perm", "--perm", perm_file, "--sample", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--sample -1 is below 0" in captured.err
 
 
 def test_analyze_perm_over_size_limit_is_invalid_input(tmp_path, capsys):
@@ -200,6 +208,15 @@ def test_certify(capsys, set_file):
     r = run_json(capsys, "certify", "--set", set_file)["results"]
     assert r["eps_B"]["num"] == 1 and r["eps_B"]["den"] == 20
     assert all(r["implication_checks"].values())
+
+
+def test_certify_above_n_20_labels_the_sampled_policy(capsys, tmp_path):
+    p = tmp_path / "set.txt"
+    p.write_text("21: 0 3 5 11 12\n")
+    report = run_json(capsys, "certify", "--set", str(p), "--seed", "3")
+    assert report["inputs"]["seed"] == 3
+    assert (report["results"]["pb_policy"]
+            == "intervals exactly + 1000 random subsets (seed 3)")
 
 
 def test_csv_output(capsys, set_file):

@@ -20,6 +20,8 @@ from quasiperm.core import (
     sym_abs,
 )
 
+from oracles import brute_components
+
 
 def test_sym_abs_symmetric_representative():
     assert [sym_abs(r, 10) for r in range(10)] == [0, 1, 2, 3, 4, 5, 4, 3, 2, 1]
@@ -109,6 +111,14 @@ def test_components_wrapping_run():
     count, parts = components(ZnSubset.from_elements(10, [9, 0, 1]))
     assert count == 1
     assert parts[0] == CyclicInterval(10, 9, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_components_match_brute_force_in_order(n):
+    for mask in range(1 << n):
+        s = ZnSubset.from_elements(n, (x for x in range(n) if mask >> x & 1))
+        expected = brute_components(s)
+        assert components(s) == (len(expected), expected), (n, mask)
 
 
 def test_components_edge_cases():

@@ -3,11 +3,13 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasiperm import patterns
 from quasiperm.core import Permutation
 from quasiperm.patterns import (
     MAX_PROFILE_STEPS,
@@ -156,6 +158,23 @@ def test_rank_of_B_is_m_factorial():
 def test_occurrence_graph_connected():
     for m in (1, 2, 3, 4):
         assert occurrence_graph_connected(m)
+
+
+def _use_matrix(monkeypatch, rows):
+    monkeypatch.setattr(patterns, "build_pattern_matrices",
+                        lambda m: SimpleNamespace(B=np.array(rows)))
+
+
+@pytest.mark.parametrize("rows", [[[1, 1, 0, 0], [0, 0, 1, 1]],
+                                  [[1, 1, 0], [1, 1, 0]]])
+def test_occurrence_graph_disconnected(monkeypatch, rows):
+    _use_matrix(monkeypatch, rows)
+    assert occurrence_graph_connected(2) is False
+
+
+def test_rank_of_B_below_the_row_count(monkeypatch):
+    _use_matrix(monkeypatch, [[1, 2, 0], [2, 4, 0], [0, 1, 3]])
+    assert rank_of_B(2) == 2
 
 
 def test_circ_examples():
