@@ -189,7 +189,6 @@ class BalanceCertificate:
     witness_B: CyclicInterval
     eps_PB: Fraction
     witness_PB: tuple
-    pb_policy: str
     eps_MB: Fraction
     witness_MB: int
     eps_E_half: float
@@ -200,7 +199,7 @@ class BalanceCertificate:
     implication_checks: dict = field(default_factory=dict)
 
 
-def balance_certificate(s: ZnSubset, *, seed: int = 0) -> BalanceCertificate:
+def balance_certificate(s: ZnSubset) -> BalanceCertificate:
     """Evaluate every balance statistic and the proof-level implications.
 
     One prefix profile gives [B]; one pass over the dilations gives every
@@ -210,8 +209,7 @@ def balance_certificate(s: ZnSubset, *, seed: int = 0) -> BalanceCertificate:
     is a union of c(T) disjoint intervals J_1..J_c.  The intersection count
     is additive over them, so n*D_T(S) = |sum_i (n|S & J_i| - |S||J_i|)|
     <= c(T) * n*D(S): no T beats an interval, and eps_PB = eps_B with the
-    elements of witness_B as its witness.  pb_policy and seed only label
-    the certificate; they are kept because the CLI output reports them.
+    elements of witness_B as its witness.
     """
     n = s.n
     if n > MAX_CERTIFICATE_SIZE:
@@ -219,8 +217,6 @@ def balance_certificate(s: ZnSubset, *, seed: int = 0) -> BalanceCertificate:
                          f"{MAX_CERTIFICATE_SIZE}")
     scaled_d, witness_b = max_interval_discrepancy(s)
     eps_b = Fraction(scaled_d, n * n)
-    policy = ("exhaustive c(T)<=2" if n <= 20
-              else f"intervals exactly + 1000 random subsets (seed {seed})")
 
     # [MB]: D(kS)/(n|k|) over all nonzero k, the first k attaining the max
     members = _members(s)
@@ -250,7 +246,6 @@ def balance_certificate(s: ZnSubset, *, seed: int = 0) -> BalanceCertificate:
         n=n, size=s.size,
         eps_B=eps_b, witness_B=witness_b,
         eps_PB=eps_b, witness_PB=tuple(sorted(witness_b.elements())),
-        pb_policy=policy,
         eps_MB=eps_mb, witness_MB=witness_mb,
         eps_E_half=stat_e / n, witness_E_half=witness_e,
         eps_S=eps_s, eps_T=eps_t, witness_T_length=witness_t_len,

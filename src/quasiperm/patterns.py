@@ -101,9 +101,6 @@ class ProfileVector:
     n: int
     counts: tuple
 
-    def total(self) -> int:
-        return sum(self.counts)
-
     def centered(self) -> tuple:
         """counts - C(n,m)/m! per coordinate, as exact rationals."""
         mean = Fraction(comb(self.n, self.m), factorial(self.m))
@@ -116,10 +113,10 @@ class ProfileVector:
 def profile(sigma: Permutation, m: int) -> ProfileVector:
     """Counts for all m! patterns, lexicographically indexed.
 
-    Order 2 counts inversions.  Orders m >= 3 push sigma through one
-    PrefixCounts state: O(n^2) steps for orders 2 and 3, plus the
-    C(n, m-1) occurrences that orders 4..m enumerate, which must not
-    exceed MAX_PROFILE_STEPS.
+    Order 2 counts inversions.  Orders m >= 3 push sigma's values one by
+    one onto the packed counts of `layout`: O(n^2) steps for orders 2 and
+    3, plus the C(n, m-1) occurrences that orders 4..m enumerate, which
+    must not exceed MAX_PROFILE_STEPS.
     """
     n = sigma.n
     if m < 0:
@@ -136,26 +133,24 @@ def profile(sigma: Permutation, m: int) -> ProfileVector:
     if comb(n, m - 1) > MAX_PROFILE_STEPS:
         raise ValueError(f"order-{m} profile of size {n} takes C({n},{m - 1}) steps, "
                          f"beyond the limit {MAX_PROFILE_STEPS}")
-    state = PrefixCounts(n, m)
+    width, _, steps = layout(n, m)
+    diff, prefix, packed = [0] * (n + 1), [], 0
     for a in sigma.images:
-        state.push(a, state.ext(a))
-    return ProfileVector(m, n, state.counts(m))
+        packed += sum(diff[:a + 1])
+        push(diff, prefix, a, steps)
+    return ProfileVector(m, n, unpack(packed, width, m))
 
 
 def _field_offset(k: int) -> int:
-    """Index of the first order-k field in PrefixCounts' packed layout."""
+    """Index of the first order-k field in the packed counts of `layout`."""
     return sum(factorial(j) for j in range(2, k))
-
-
-def _pack(width: int, fields) -> int:
-    return sum(f << (width * i) for i, f in enumerate(fields))
 
 
 @lru_cache(maxsize=64)
 def _step_tables(width: int, m: int) -> tuple:
-    """The guard bits and the steps of PrefixCounts(n, m) for every n with
+    """The guard bits and the steps of `push` at order m for every n with
     this field width.  Built once per (width, m) and only read afterwards,
-    so every state of that shape shares them."""
+    so every prefix of that shape shares them."""
 
     def unit(k, pattern):
         return 1 << (width * (_field_offset(k) + pattern_index(pattern)))
@@ -172,8 +167,8 @@ def _step_tables(width: int, m: int) -> tuple:
             table[order] = (units[0], tuple(
                 (order[j], units[j + 1] - units[j]) for j in range(k - 1)))
         tables.append(table)
-    guards = _pack(width, [1 << (width - 1)] * _field_offset(m + 1))
-    # orders 2 and 3 are unpacked for the flat loop in PrefixCounts.push
+    guards = sum(1 << (width * i + width - 1) for i in range(_field_offset(m + 1)))
+    # orders 2 and 3 are unpacked for the flat loop in push
     first, ((_, step),) = tables[0][(0,)]
     pairs = None
     if m >= 3:
@@ -183,81 +178,64 @@ def _step_tables(width: int, m: int) -> tuple:
     return guards, (first, step, pairs, tuple(tables[2:]))
 
 
-class PrefixCounts:
-    """Pattern counts of every order 2..m in a prefix of a one-line
-    permutation of size n, kept incrementally as values are appended.
+def layout(n: int, m: int) -> tuple:
+    """(width, guards, steps) of the pattern counts of every order 2..m in
+    a prefix of a one-line permutation of size n, kept as values are
+    appended.
 
-    All counts live in one packed integer, `packed`: one field of `width`
-    bits per pattern, ordered by k and then by lexicographic rank.  The
-    occurrences that appending an unused value v would add are packed the
-    same way in ext(v) = diff[0] + ... + diff[v].  An order-k occurrence
-    ending at v is an order-(k-1) occurrence τ of the prefix with exactly
-    r of its values below v, and its pattern is τ with rank r appended, so
-    `diff` holds the per-rank, per-value counts of the order-(k-1)
-    occurrences as a difference array over v.  Appending a adds only the
-    occurrences that end at a: the C(L, k-2) subsets of the prefix
-    followed by a, for each order k.
-
-    There is no removal: a caller that must return to an earlier state
-    keeps that state's `packed`, `diff` and prefix length, pushes onto a
-    copy of `diff`, and puts the three back.
+    All counts live in one packed integer: one field of `width` bits per
+    pattern, ordered by k and then by lexicographic rank, each below the
+    guard bit of its field in `guards`.  The occurrences that appending an
+    unused value v would add are packed the same way in
+    diff[0] + ... + diff[v].  An order-k occurrence ending at v is an
+    order-(k-1) occurrence τ of the prefix with exactly r of its values
+    below v, and its pattern is τ with rank r appended, so `diff` holds the
+    per-rank, per-value counts of the order-(k-1) occurrences as a
+    difference array over v.  The empty prefix has packed counts 0 and
+    diff [0] * (n + 1).
     """
+    # two spare bits: counts stay below the guard bit of `guards`
+    width = max(comb(n, k) for k in range(2, m + 1)).bit_length() + 2
+    return (width,) + _step_tables(width, m)
 
-    def __init__(self, n: int, m: int):
-        # two spare bits: counts stay below the guard bit of `guards`
-        self.width = max(comb(n, k) for k in range(2, m + 1)).bit_length() + 2
-        self.guards, self._steps = _step_tables(self.width, m)
-        self.prefix = []
-        self.packed = 0
-        self.diff = [0] * (n + 1)
 
-    def pack(self, fields) -> int:
-        """Fields, in the layout of `packed`, as one integer."""
-        return _pack(self.width, fields)
+def push(diff: list, prefix: list, a: int, steps: tuple) -> None:
+    """Append the unused value a to prefix, updating its `diff` in place
+    with the steps of every occurrence that ends at a.
 
-    def counts(self, k: int) -> tuple:
-        """Order-k pattern counts of the prefix, lexicographically indexed."""
-        mask = (1 << self.width) - 1
-        first = _field_offset(k)
-        return tuple((self.packed >> (self.width * (first + i))) & mask
-                     for i in range(factorial(k)))
+    Orders 2 and 3 take O(L) steps: the singleton (a) and the pairs
+    (x, a), grouped by whether x < a.  Each higher order k enumerates its
+    C(L, k-2) occurrences."""
+    first, step, pairs, higher = steps
+    diff[0] += first
+    diff[a + 1] += step
+    if pairs is not None:
+        asc_first, asc_x, asc_a, desc_first, desc_x, desc_a = pairs
+        lt = 0
+        for x in prefix:
+            if x < a:
+                diff[x + 1] += asc_x
+                lt += 1
+            else:
+                diff[x + 1] += desc_x
+        gt = len(prefix) - lt
+        diff[0] += lt * asc_first + gt * desc_first
+        diff[a + 1] += lt * asc_a + gt * desc_a
+        for k, table in enumerate(higher, start=4):
+            for c in itertools.combinations(prefix, k - 2):
+                vals = c + (a,)
+                unit, moves = table[tuple(sorted(range(k - 1), key=vals.__getitem__))]
+                diff[0] += unit
+                for i, move in moves:
+                    diff[vals[i] + 1] += move
+    prefix.append(a)
 
-    def ext(self, v: int) -> int:
-        """The packed counts that appending the unused value v would add."""
-        return sum(self.diff[:v + 1])
 
-    def push(self, a: int, ext_a: int) -> None:
-        """Append the unused value a; ext_a must equal ext(a).
-
-        Updates `diff` in place with the steps of every occurrence that
-        ends at a.  Orders 2 and 3 take O(L) steps: the singleton (a) and
-        the pairs (x, a), grouped by whether x < a.  Each higher order k
-        enumerates its C(L, k-2) occurrences."""
-        self.packed += ext_a
-        diff, prefix = self.diff, self.prefix
-        first, step, pairs, higher = self._steps
-        diff[0] += first
-        diff[a + 1] += step
-        if pairs is not None:
-            asc_first, asc_x, asc_a, desc_first, desc_x, desc_a = pairs
-            lt = 0
-            for x in prefix:
-                if x < a:
-                    diff[x + 1] += asc_x
-                    lt += 1
-                else:
-                    diff[x + 1] += desc_x
-            gt = len(prefix) - lt
-            diff[0] += lt * asc_first + gt * desc_first
-            diff[a + 1] += lt * asc_a + gt * desc_a
-            for k, table in enumerate(higher, start=4):
-                for c in itertools.combinations(prefix, k - 2):
-                    vals = c + (a,)
-                    first, steps = table[tuple(sorted(range(k - 1), key=vals.__getitem__))]
-                    diff[0] += first
-                    for i, step in steps:
-                        diff[vals[i] + 1] += step
-        prefix.append(a)
+def unpack(packed: int, width: int, k: int) -> tuple:
+    """Order-k pattern counts in packed counts, lexicographically indexed."""
+    mask = (1 << width) - 1
+    first = _field_offset(k)
+    return tuple((packed >> (width * (first + i))) & mask for i in range(factorial(k)))
 
 
 @dataclass(frozen=True)

@@ -190,10 +190,11 @@ def two_pattern_balance(sigma: Permutation, i: CyclicInterval,
 
 def exclusion_lower_bound(n: int, m: int) -> float:
     """Discrepancy floor forced on any permutation that omits some order-m
-    pattern entirely: n * C(n,m) / (4 e^(2m) m! n^m)."""
+    pattern entirely: n * C(n,m) / (4 e^(2m) m! n^m).  The rational part
+    is exact, so large m underflows to 0.0 instead of overflowing."""
     if not n > m >= 2:
         raise ValueError("need n > m >= 2")
-    return n * comb(n, m) / (4 * math.exp(2 * m) * factorial(m) * n ** m)
+    return float(Fraction(n * comb(n, m), 4 * factorial(m) * n ** m)) * math.exp(-2 * m)
 
 
 def sampled_discrepancy_lower_bound(sigma: Permutation, samples: int,

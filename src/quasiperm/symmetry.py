@@ -12,7 +12,7 @@ from math import comb, factorial, inf
 from typing import Optional
 
 from .core import Permutation
-from .patterns import PrefixCounts, profile
+from .patterns import layout, profile, push
 
 EXHAUSTIVE_SIZE_LIMIT = 10
 MAX_SEARCH_SIZE = 512
@@ -116,36 +116,35 @@ class _BudgetExceeded(Exception):
 
 
 class _Search:
-    """Depth-first search over one-line prefixes with a PrefixCounts state.
+    """Depth-first search over one-line prefixes, each with its packed
+    pattern counts and `diff` in the layout of patterns.layout.
 
     The prune is one test on packed integers: with counts `y`, the guard
     bit of every field survives in (high - y) & (y + low) exactly when
     every field lies in its [floor, target] window.
 
-    A child is pushed onto a copy of the parent's `diff`; when it returns,
-    the parent puts back its own `diff`, `packed` and prefix length, so no
-    push is ever undone step by step.
-
-    At m = 2, ext(v) depends only on the set of values in the prefix and
-    the prune reads only the inversion count, so two prefixes with the
-    same value set and the same `packed` have the same subtree, node for
-    node.  `merged` maps each such (value-set bitmask, packed) searched to
-    the node count of its subtree and the suffixes of its solutions.  It
-    stops taking entries at ORDER2_TABLE_CAP, which bounds its memory at
-    large n; orders m >= 3 keep no table, since their prefixes rarely
-    share a state.
+    At m = 2, the counts a value adds depend only on the set of values in
+    the prefix and the prune reads only the inversion count, so two
+    prefixes with the same value set and the same packed counts have the
+    same subtree, node for node.  `merged` maps each such (value-set
+    bitmask, packed) searched to the node count of its subtree and the
+    suffixes of its solutions.  It stops taking entries at
+    ORDER2_TABLE_CAP, which bounds its memory at large n; orders m >= 3
+    keep no table, since their prefixes rarely share a state.
     """
 
     def __init__(self, n: int, targets: dict, budget: Optional[int]):
         self.n = n
         self.limit = inf if budget is None else budget
         self.found = []
+        self.prefix = []
         self.merged = {} if max(targets) == 2 else None
-        state = self.state = PrefixCounts(n, max(targets))
-        guard = 1 << (state.width - 1)
+        width, self.guards, self.steps = layout(n, max(targets))
+        guard = 1 << (width - 1)
+        orders = [k for k in targets for _ in range(factorial(k))]
 
         def per_pattern(bound):
-            return state.pack([bound(k) for k in targets for _ in range(factorial(k))])
+            return sum(bound(k) << (width * i) for i, k in enumerate(orders))
 
         self.high = per_pattern(lambda k: guard + targets[k])
         # low[L]: the floors at prefix length L, clamped at zero
@@ -156,16 +155,19 @@ class _Search:
     def run(self) -> tuple:
         """(solutions as sorted one-line tuples, nodes, exhaustive)."""
         try:
-            nodes, exhaustive = self._extend(0, True, 0, 0), True
+            nodes = self._extend(0, True, 0, 0, [0] * (self.n + 1), 0)
+            exhaustive = True
         except _BudgetExceeded:
             # raised at the first node past the budget
             nodes, exhaustive = self.limit + 1, False
         return sorted(self.found), nodes, exhaustive
 
-    def _extend(self, depth: int, fixed: bool, mask: int, nodes: int) -> int:
+    def _extend(self, depth: int, fixed: bool, mask: int, packed: int,
+                diff: list, nodes: int) -> int:
         """Try every unused value after the prefix of length `depth`, whose
-        value set is the bitmask `mask`, with `nodes` nodes counted so far;
-        return the count after its subtree.
+        value set is the bitmask `mask` and whose counts are `packed` and
+        `diff`, with `nodes` nodes counted so far; return the count after
+        its subtree.  Each child is pushed onto its own copy of `diff`.
 
         `fixed` says the prefix is its own complement, so the complement
         maps the subtree of v onto that of n-1-v node for node: the prune
@@ -176,13 +178,12 @@ class _Search:
         count would cross the budget; then the subtree is searched for
         real, so the budget stops at the same node either way.
         """
-        n, state, found = self.n, self.state, self.found
+        n, prefix, found = self.n, self.prefix, self.found
         if depth == n:
-            found.append(tuple(state.prefix))
+            found.append(tuple(prefix))
             return nodes
-        packed, diff, prefix = state.packed, state.diff, state.prefix
-        high, low, guards = self.high, self.low[depth + 1], state.guards
-        limit, merged = self.limit, self.merged
+        high, low, guards = self.high, self.low[depth + 1], self.guards
+        limit, merged, steps = self.limit, self.merged, self.steps
         mirror = {}
         ext = 0
         for v in range(n):
@@ -212,11 +213,10 @@ class _Search:
                         found.extend(_completions(prefix, v, entry[1]))
                 else:
                     before, count = nodes, len(found)
-                    state.diff = diff.copy()
-                    state.push(v, ext)
+                    child = diff.copy()
+                    push(child, prefix, v, steps)
                     nodes = self._extend(depth + 1, fixed and 2 * v == n - 1,
-                                         mask | 1 << v, nodes)
-                    state.diff, state.packed = diff, packed
+                                         mask | 1 << v, y, child, nodes)
                     prefix.pop()
                     if key is not None and len(merged) < ORDER2_TABLE_CAP:
                         merged[key] = (nodes - before, _suffixes(found, count, depth + 1))

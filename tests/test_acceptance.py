@@ -194,7 +194,7 @@ def test_criterion_08_balance_inequality_suite():
             s = random_subset(n, rng)
             if s.size in (0, n):
                 continue
-            cert = balance_certificate(s, seed=7)
+            cert = balance_certificate(s)
             # multiple balance from piecewise balance
             for k in range(1, n):
                 ok &= (Fraction(multiple_discrepancy(s, k))

@@ -167,10 +167,9 @@ def test_certificate_example_and_internal_consistency():
 def test_certificate_sampled_policy_deterministic():
     rng = random.Random(29)
     s = random_subset(64, rng)
-    a = balance_certificate(s, seed=5)
-    b = balance_certificate(s, seed=5)
+    a = balance_certificate(s)
+    b = balance_certificate(s)
     assert a == b
-    assert "random subsets" in a.pb_policy
 
 
 def test_certificate_implications_hold_on_random_sets():
@@ -245,50 +244,48 @@ ALL_CHECKS_HOLD = {"pb_implies_mb": True, "mb_implies_e_half": True,
 # recorded before the piecewise-balance candidate search was removed;
 # floats are compared with ==
 PINNED_CERTIFICATES = [
-    (ZnSubset.from_elements(16, [6, 7, 11, 12, 13]), 0, BalanceCertificate(
+    (ZnSubset.from_elements(16, [6, 7, 11, 12, 13]), BalanceCertificate(
         n=16, size=5, eps_B=Fraction(5, 32),
         witness_B=CyclicInterval(16, 6, 8),
         eps_PB=Fraction(5, 32), witness_PB=(6, 7, 8, 9, 10, 11, 12, 13),
-        pb_policy="exhaustive c(T)<=2",
         eps_MB=Fraction(5, 32), witness_MB=1,
         eps_E_half=0.14987717416859858, witness_E_half=1,
         eps_S=0.06759890304032913, eps_T=0.005859375000000003,
         witness_T_length=8, implication_checks=ALL_CHECKS_HOLD)),
     (ZnSubset.from_elements(40, [0, 1, 2, 5, 7, 9, 10, 12, 13, 16, 20, 25, 26,
-                                 27, 28, 29, 30, 32, 34, 35, 38]), 5,
+                                 27, 28, 29, 30, 32, 34, 35, 38]),
      BalanceCertificate(
         n=40, size=21, eps_B=Fraction(151, 1600),
         witness_B=CyclicInterval(40, 25, 29),
         eps_PB=Fraction(151, 1600),
         witness_PB=tuple(range(14)) + tuple(range(25, 40)),
-        pb_policy="intervals exactly + 1000 random subsets (seed 5)",
         eps_MB=Fraction(151, 1600), witness_MB=1,
         eps_E_half=0.07097753814110333, witness_E_half=38,
         eps_S=0.017488205343594698, eps_T=0.0012027343749999998,
         witness_T_length=11, implication_checks=ALL_CHECKS_HOLD)),
-    (ZnSubset.empty(12), 0, BalanceCertificate(
+    (ZnSubset.empty(12), BalanceCertificate(
         n=12, size=0, eps_B=Fraction(0), witness_B=CyclicInterval.empty(12),
-        eps_PB=Fraction(0), witness_PB=(), pb_policy="exhaustive c(T)<=2",
+        eps_PB=Fraction(0), witness_PB=(),
         eps_MB=Fraction(0), witness_MB=0,
         eps_E_half=0.0, witness_E_half=1, eps_S=0.0, eps_T=0.0,
         witness_T_length=0, implication_checks=ALL_CHECKS_HOLD)),
     # kS of the full set is unbalanced when gcd(k, n) > 1, so eps_MB > 0
-    (ZnSubset.full(12), 0, BalanceCertificate(
+    (ZnSubset.full(12), BalanceCertificate(
         n=12, size=12, eps_B=Fraction(0), witness_B=CyclicInterval.empty(12),
-        eps_PB=Fraction(0), witness_PB=(), pb_policy="exhaustive c(T)<=2",
+        eps_PB=Fraction(0), witness_PB=(),
         eps_MB=Fraction(5, 72), witness_MB=6,
         eps_E_half=0.0, witness_E_half=1, eps_S=0.0, eps_T=0.0,
         witness_T_length=0, implication_checks=ALL_CHECKS_HOLD)),
-    (ZnSubset.full(1), 0, BalanceCertificate(
+    (ZnSubset.full(1), BalanceCertificate(
         n=1, size=1, eps_B=Fraction(0), witness_B=CyclicInterval.empty(1),
-        eps_PB=Fraction(0), witness_PB=(), pb_policy="exhaustive c(T)<=2",
+        eps_PB=Fraction(0), witness_PB=(),
         eps_MB=Fraction(0), witness_MB=0,
         eps_E_half=0.0, witness_E_half=0, eps_S=0.0, eps_T=0.0,
         witness_T_length=0, implication_checks=ALL_CHECKS_HOLD)),
 ]
 
 
-@pytest.mark.parametrize("s, seed, expected", PINNED_CERTIFICATES,
+@pytest.mark.parametrize("s, expected", PINNED_CERTIFICATES,
                          ids=["n16", "n40-sampled-label", "empty", "full", "n1"])
-def test_certificate_is_pinned(s, seed, expected):
-    assert balance_certificate(s, seed=seed) == expected
+def test_certificate_is_pinned(s, expected):
+    assert balance_certificate(s) == expected

@@ -2,7 +2,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, exp, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +212,17 @@ def test_exclusion_lower_bound_example():
     assert d >= exclusion_lower_bound(10, 2)
     with pytest.raises(ValueError):
         exclusion_lower_bound(3, 3)
+
+
+def test_exclusion_lower_bound_underflows_instead_of_overflowing():
+    # m! n^m and e^(2m) overflow a float here, and the bound is below the
+    # smallest positive one
+    for n, m in ((200, 171), (400, 200), (1000, 360)):
+        assert exclusion_lower_bound(n, m) == 0.0
+    for n, m in ((10, 3), (50, 7), (4096, 5)):
+        exact = Fraction(n * comb(n, m), 4 * factorial(m) * n ** m)
+        assert exclusion_lower_bound(n, m) == pytest.approx(float(exact) / exp(2 * m),
+                                                            rel=1e-15)
 
 
 def test_sampled_lower_bound_is_a_lower_bound():

@@ -9,7 +9,7 @@ import pytest
 from oracles import brute_inversions, brute_profile, brute_search_trace
 from quasiperm.core import Permutation
 from quasiperm import symmetry
-from quasiperm.patterns import PrefixCounts, patterns_of_order, standardize
+from quasiperm.patterns import layout, patterns_of_order, push, standardize, unpack
 from quasiperm.symmetry import (
     MAX_SEARCH_SIZE,
     SearchBudgetRequired,
@@ -150,24 +150,52 @@ def test_search_n8_matches_inversion_oracle():
     assert [q.images for q in res.found] == expected
 
 
+def check_counts(prefix, packed, width):
+    """The packed counts of orders 2..5 of `prefix` against brute_profile."""
+    for k in range(2, 6):
+        expected = (brute_profile(Permutation(standardize(prefix)), k) if len(prefix) >= k
+                    else (0,) * math.factorial(k))
+        assert unpack(packed, width, k) == expected, (prefix, k)
+
+
+def push_checked(values, diff, prefix, packed, width, steps):
+    """Push each value onto `diff` and `prefix`, checking the counts after
+    each; return the packed counts at the end."""
+    for a in values:
+        packed += sum(diff[:a + 1])
+        push(diff, prefix, a, steps)
+        check_counts(prefix, packed, width)
+    return packed
+
+
 def test_prefix_counts_match_profile_at_every_depth():
     rng = random.Random(2024)
     for _ in range(25):
         n = rng.randint(1, 12)
         images = rng.sample(range(n), n)
-        state = PrefixCounts(n, 5)
+        width, _, steps = layout(n, 5)
+        check_counts([], 0, width)
+        push_checked(images, [0] * (n + 1), [], 0, width, steps)
 
-        def check(length):
-            prefix = standardize(images[:length])
-            for k in range(2, 6):
-                expected = (brute_profile(Permutation(prefix), k) if length >= k
-                            else (0,) * math.factorial(k))
-                assert state.counts(k) == expected, (images, length, k)
 
-        check(0)
-        for length, a in enumerate(images, start=1):
-            state.push(a, state.ext(a))
-            check(length)
+def test_children_pushed_onto_copies_leave_the_parent_unchanged():
+    # the search pushes each child onto a copy of its parent's diff and
+    # pops only the prefix afterwards, so siblings must not see each other
+    rng = random.Random(15)
+    for _ in range(25):
+        n = rng.randint(2, 12)
+        images = rng.sample(range(n), n)
+        depth = rng.randrange(n - 1)
+        width, _, steps = layout(n, 5)
+        diff, prefix = [0] * (n + 1), []
+        packed = push_checked(images[:depth], diff, prefix, 0, width, steps)
+        parent = diff.copy()
+        for v in rng.sample(images[depth:], 2):
+            rest = [x for x in images[depth:] if x != v]
+            rng.shuffle(rest)
+            push_checked([v] + rest, diff.copy(), prefix, packed, width, steps)
+            del prefix[depth:]
+            assert diff == parent and prefix == images[:depth], (images, depth, v)
 
 
 def test_search_size_limit_raises_before_allocating():
@@ -217,18 +245,16 @@ cached_trace = functools.cache(brute_search_trace)
 
 @functools.cache
 def counted_search(n, m, budget=None):
-    """search_perfect(n, m, budget) and the number of PrefixCounts.push
-    calls it made."""
+    """search_perfect(n, m, budget) and the number of push calls it made."""
     calls = 0
-    push = PrefixCounts.push
 
-    def counting_push(self, a, ext_a):
+    def counting_push(diff, prefix, a, steps):
         nonlocal calls
         calls += 1
-        push(self, a, ext_a)
+        push(diff, prefix, a, steps)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(PrefixCounts, "push", counting_push)
+        patch.setattr(symmetry, "push", counting_push)
         res = search_perfect(n, m, budget)
     return res, calls
 
