@@ -16,7 +16,6 @@ _EXPORTS = {
         "ModulusMismatchError",
         "ParseError",
         "Permutation",
-        "ZnMultiset",
         "ZnSubset",
         "classify_interval",
         "components",
@@ -29,7 +28,6 @@ _EXPORTS = {
     ),
     "balance": (
         "BalanceCertificate",
-        "FourierSpectrum",
         "balance_certificate",
         "eigenvalue_bound_profile",
         "fourier_spectrum",

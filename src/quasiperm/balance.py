@@ -10,46 +10,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
-from .core import (
-    CyclicInterval,
-    ModulusMismatchError,
-    ZnMultiset,
-    ZnSubset,
-)
-
-SetLike = Union[ZnSubset, ZnMultiset]
+from .core import CyclicInterval, ModulusMismatchError, ZnSubset
 
 # balance_certificate costs O(n^2 log n): one FFT per interval length
 MAX_CERTIFICATE_SIZE = 4096
 
 
-def _weights(s: SetLike) -> np.ndarray:
-    if isinstance(s, ZnMultiset):
-        return np.asarray(s.multiplicity, dtype=np.int64)
+def _weights(s: ZnSubset) -> np.ndarray:
     return np.asarray(s.indicator(), dtype=np.int64)
 
 
-def _mass(s: SetLike) -> int:
-    return s.mass if isinstance(s, ZnMultiset) else s.size
-
-
-def scaled_discrepancy_in(s: SetLike, t: ZnSubset) -> int:
-    """n * D_T(S) = |n*|S & T| - |S|*|T|| as an exact integer.
-
-    Multisets count the intersection with multiplicity.
-    """
+def scaled_discrepancy_in(s: ZnSubset, t: ZnSubset) -> int:
+    """n * D_T(S) = |n*|S & T| - |S|*|T|| as an exact integer."""
     if s.n != t.n:
         raise ModulusMismatchError(f"moduli differ: {s.n} vs {t.n}")
-    n = s.n
-    if isinstance(s, ZnMultiset):
-        inter = sum(s.multiplicity[x] for x in t.members)
-    else:
-        inter = len(s.members & t.members)
-    return abs(n * inter - _mass(s) * t.size)
+    return abs(s.n * len(s.members & t.members) - s.size * t.size)
 
 
 def profile_discrepancy(g: np.ndarray) -> tuple:
@@ -76,10 +54,9 @@ def _prefix_profile(w: np.ndarray, mass: int) -> np.ndarray:
     return n * np.cumsum(w) - mass * np.arange(1, n + 1, dtype=np.int64)
 
 
-def max_interval_discrepancy(s: SetLike) -> tuple:
+def max_interval_discrepancy(s: ZnSubset) -> tuple:
     """(n * D(S), witness interval) with D(S) the max of D_J over all J."""
-    w = _weights(s)
-    return profile_discrepancy(_prefix_profile(w, int(w.sum())))
+    return profile_discrepancy(_prefix_profile(_weights(s), s.size))
 
 
 def _dilated_discrepancy(n: int, members: np.ndarray, k: int) -> int:
@@ -99,32 +76,17 @@ def multiple_discrepancy(s: ZnSubset, k: int) -> int:
     return _dilated_discrepancy(s.n, _members(s), k)
 
 
-@dataclass(frozen=True)
-class FourierSpectrum:
-    """All n Fourier coefficients S~(k) = sum_x f(x) e^(-2 pi i k x / n)."""
-
-    n: int
-    coeffs: np.ndarray
-
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.coeffs)
-
-
-def fourier_spectrum(s: SetLike) -> FourierSpectrum:
-    """Spectrum via the FFT (the transform kernel matches the definition)."""
-    w = _weights(s).astype(np.float64)
-    return FourierSpectrum(s.n, np.fft.fft(w))
-
-
-def sym_ks(n: int) -> np.ndarray:
-    """|k| for k = 0..n-1 under the (-n/2, n/2] representative convention."""
-    k = np.arange(n)
-    return np.where(2 * k <= n, k, n - k)
+def fourier_spectrum(s: ZnSubset) -> np.ndarray:
+    """All n Fourier coefficients S~(k) = sum_{x in S} e^(-2 pi i k x / n),
+    via the FFT (the transform kernel matches the definition)."""
+    return np.fft.fft(_weights(s).astype(np.float64))
 
 
 def _nonzero_ks(n: int) -> np.ndarray:
-    """|k| for k = 1..n-1 as floats."""
-    return sym_ks(n).astype(np.float64)[1:]
+    """|k| for k = 1..n-1 under the (-n/2, n/2] representative convention,
+    as floats."""
+    k = np.arange(1, n)
+    return np.minimum(k, n - k).astype(np.float64)
 
 
 def _max_ratio(mags: np.ndarray, alpha: float) -> tuple:
@@ -142,16 +104,16 @@ def _ratio_square_sum(mags: np.ndarray) -> float:
     return float(np.sum((mags[1:] / _nonzero_ks(len(mags))) ** 2))
 
 
-def eigenvalue_bound_profile(s: SetLike, alpha: float) -> tuple:
+def eigenvalue_bound_profile(s: ZnSubset, alpha: float) -> tuple:
     """(max over k != 0 of |S~(k)| / |k|^alpha, witness k)."""
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
-    return _max_ratio(fourier_spectrum(s).magnitudes(), alpha)
+    return _max_ratio(np.abs(fourier_spectrum(s)), alpha)
 
 
-def sum_statistic(s: SetLike) -> float:
+def sum_statistic(s: ZnSubset) -> float:
     """Sum over k != 0 of (|S~(k)| / |k|)^2."""
-    return _ratio_square_sum(fourier_spectrum(s).magnitudes())
+    return _ratio_square_sum(np.abs(fourier_spectrum(s)))
 
 
 def interval_spectrum_magnitudes(n: int, length: int) -> np.ndarray:
@@ -163,15 +125,19 @@ def interval_spectrum_magnitudes(n: int, length: int) -> np.ndarray:
     return np.abs(np.fft.fft(w))
 
 
+def _translation_sum(smags2: np.ndarray, length: int) -> float:
+    """sum_{k!=0} |S~(k)|^2 |J~(k)|^2 / n for any J of the given length,
+    from smags2[k-1] = |S~(k)|^2."""
+    n = len(smags2) + 1
+    return float(np.sum(smags2 * interval_spectrum_magnitudes(n, length)[1:] ** 2) / n)
+
+
 def translation_statistic(s: ZnSubset, j: CyclicInterval) -> float:
     """Sum over k of (|S & (J+k)| - |S||J|/n)^2, by the spectral identity
     sum_{k!=0} |S~(k) J~(-k)|^2 / n."""
     if s.n != j.n:
         raise ModulusMismatchError(f"moduli differ: {s.n} vs {j.n}")
-    n = s.n
-    smags = fourier_spectrum(s).magnitudes()
-    jmags = interval_spectrum_magnitudes(n, j.length)
-    return float(np.sum((smags[1:] * jmags[1:]) ** 2) / n)
+    return _translation_sum(np.abs(fourier_spectrum(s))[1:] ** 2, j.length)
 
 
 @dataclass
@@ -202,8 +168,8 @@ class BalanceCertificate:
 def balance_certificate(s: ZnSubset) -> BalanceCertificate:
     """Evaluate every balance statistic and the proof-level implications.
 
-    One prefix profile gives [B]; one pass over the dilations gives every
-    n*D(kS) for [MB]; one FFT of S gives [E], [S] and [T].
+    One prefix profile gives [B]; one pass over the dilations k <= n/2
+    gives n*D(kS) for [MB]; one FFT of S gives [E], [S] and [T].
 
     [PB] asks for the least eps with D_T(S) <= eps * c(T) for every T that
     is a union of c(T) disjoint intervals J_1..J_c.  The intersection count
@@ -218,16 +184,18 @@ def balance_certificate(s: ZnSubset) -> BalanceCertificate:
     scaled_d, witness_b = max_interval_discrepancy(s)
     eps_b = Fraction(scaled_d, n * n)
 
-    # [MB]: D(kS)/(n|k|) over all nonzero k, the first k attaining the max
+    # [MB]: D(kS)/(n|k|) over all nonzero k, the first k attaining the max.
+    # Negation maps intervals to intervals, so D((n-k)S) = D(kS) and
+    # |n-k| = |k|: the ratios are symmetric and k <= n/2, where |k| = k,
+    # holds every value and the first maximum.
     members = _members(s)
     dilated = np.array([_dilated_discrepancy(n, members, k)
-                        for k in range(1, n)], dtype=np.int64)
-    ks = sym_ks(n)[1:]
-    ratios = [Fraction(int(d), n * n * int(a)) for d, a in zip(dilated, ks)]
+                        for k in range(1, n // 2 + 1)], dtype=np.int64)
+    ratios = [Fraction(int(d), n * n * k) for k, d in enumerate(dilated, 1)]
     eps_mb = max(ratios, default=Fraction(0))
     witness_mb = ratios.index(eps_mb) + 1 if eps_mb else 0
 
-    mags = fourier_spectrum(s).magnitudes()
+    mags = np.abs(fourier_spectrum(s))
     stat_e, witness_e = _max_ratio(mags, 0.5)
     eps_s = _ratio_square_sum(mags) / n ** 2
 
@@ -236,8 +204,7 @@ def balance_certificate(s: ZnSubset) -> BalanceCertificate:
     witness_t_len = 0
     smags2 = mags[1:] ** 2
     for length in range(1, n):
-        jmags2 = interval_spectrum_magnitudes(n, length)[1:] ** 2
-        val = float(np.sum(smags2 * jmags2) / n) / n ** 3
+        val = _translation_sum(smags2, length) / n ** 3
         if val > eps_t:
             eps_t = val
             witness_t_len = length
@@ -259,8 +226,8 @@ def _implication_checks(scaled_d: int, size: int, dilated: np.ndarray,
                         mags: np.ndarray, *, eps_mb: Fraction, eps_s: float,
                         eps_t: float) -> dict:
     """The quantitative inequalities linking the balance properties, from
-    n*D(S), |S|, the dilation discrepancies n*D(kS) and the magnitudes
-    |S~(k)|."""
+    n*D(S), |S|, the dilation discrepancies n*D(kS) for k = 1..n/2 and the
+    magnitudes |S~(k)|."""
     n = len(mags)
     ks = _nonzero_ks(n)
     tol = 1e-9 * n
@@ -271,9 +238,10 @@ def _implication_checks(scaled_d: int, size: int, dilated: np.ndarray,
     # gcd(k, n) = 1; in general n * ||T| - |J|| is the n-scaled discrepancy
     # of the multiset kZ_n on J, and n * D(kZ_n) = n * (gcd(k, n) - 1).  Hence
     # n * n D(kS) <= 2|k| * n * n D(S) + |S| * n * D(kZ_n), divided here by n.
-    k = np.arange(1, n)
+    # Both sides are equal at k and n - k, so k <= n/2 covers every k.
+    k = np.arange(1, n // 2 + 1)
     checks["pb_implies_mb"] = bool(np.all(
-        dilated <= 2 * scaled_d * sym_ks(n)[1:] + size * (np.gcd(k, n) - 1)))
+        dilated <= 2 * scaled_d * k + size * (np.gcd(k, n) - 1)))
 
     # multiple balance bounds the k-th coefficient (valid for eps <= pi/8)
     if float(eps_mb) <= math.pi / 8:

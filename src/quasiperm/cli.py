@@ -72,19 +72,22 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command")
 
-    def add(name, **kw):
+    def add(name, handler, **kw):
         p = sub.add_parser(name, **kw)
         p.add_argument("--csv", action="store_true",
                        help="flat CSV instead of JSON")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("analyze-set", help="interval discrepancy and balance of a set")
+    p = add("analyze-set", cmd_analyze_set,
+            help="interval discrepancy and balance of a set")
     p.add_argument("--set", required=True, metavar="FILE")
     p.add_argument("--k", type=int, default=None,
                    help="also report the dilation discrepancy n*D(kS)")
     p.add_argument("--alpha", type=float, default=0.5)
 
-    p = add("analyze-perm", help="permutation discrepancy report")
+    p = add("analyze-perm", cmd_analyze_perm,
+            help="permutation discrepancy report")
     p.add_argument("--perm", required=True, metavar="FILE")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--exact", action="store_true", default=True)
@@ -92,35 +95,42 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lower bound from N randomly drawn interval starts")
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("pattern-count", help="pattern occurrence counts")
+    p = add("pattern-count", cmd_pattern_count,
+            help="pattern occurrence counts")
     p.add_argument("--perm", required=True, metavar="FILE")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--pattern", default=None,
                    help="one-line pattern, e.g. '0 2 1'; default: full profile")
 
-    p = add("matrix", help="pattern inclusion matrices and spectra")
+    p = add("matrix", cmd_matrix,
+            help="pattern inclusion matrices and spectra")
     p.add_argument("--m", type=int, required=True)
 
-    p = add("construct", help="digit-reversal product permutation")
+    p = add("construct", cmd_construct,
+            help="digit-reversal product permutation")
     p.add_argument("--n", type=int, required=True, help="base")
     p.add_argument("--k", type=int, required=True, help="number of factors")
 
-    p = add("random-stats", help="Monte Carlo discrepancy statistics")
+    p = add("random-stats", cmd_random_stats,
+            help="Monte Carlo discrepancy statistics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None)
 
-    p = add("invdist", help="inversion-count distribution over S_n")
+    p = add("invdist", cmd_invdist,
+            help="inversion-count distribution over S_n")
     p.add_argument("--n", type=int, required=True)
 
-    p = add("search-symmetric", help="search for perfectly symmetric permutations")
+    p = add("search-symmetric", cmd_search_symmetric,
+            help="search for perfectly symmetric permutations")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--budget", type=int, default=None,
                    help="node budget; required for n above 10")
 
-    p = add("certify", help="balance certificate with implication checks")
+    p = add("certify", cmd_certify,
+            help="balance certificate with implication checks")
     p.add_argument("--set", required=True, metavar="FILE")
     p.add_argument("--seed", type=int, default=0)
 
@@ -300,21 +310,8 @@ def cmd_certify(args) -> dict:
     }
 
 
-HANDLERS = {
-    "analyze-set": cmd_analyze_set,
-    "analyze-perm": cmd_analyze_perm,
-    "pattern-count": cmd_pattern_count,
-    "matrix": cmd_matrix,
-    "construct": cmd_construct,
-    "random-stats": cmd_random_stats,
-    "invdist": cmd_invdist,
-    "search-symmetric": cmd_search_symmetric,
-    "certify": cmd_certify,
-}
-
-
 def _inputs_echo(args) -> dict:
-    skip = {"command", "csv"}
+    skip = {"command", "csv", "handler"}
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
@@ -344,7 +341,7 @@ def dispatch(argv) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        results = HANDLERS[args.command](args)
+        results = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

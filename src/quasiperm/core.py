@@ -1,8 +1,8 @@
 """Exact combinatorics on the cyclic group Z_n.
 
-Residues, cyclic intervals, subsets, multisets and permutations in one-line
-notation.  Every value here is immutable and exact; floating point never
-enters at this layer.
+Residues, cyclic intervals, subsets and permutations in one-line notation.
+Every value here is immutable and exact; floating point never enters at
+this layer.
 """
 
 from __future__ import annotations
@@ -130,35 +130,6 @@ class ZnSubset:
         for x in self.members:
             ind[x] = 1
         return ind
-
-
-@dataclass(frozen=True)
-class ZnMultiset:
-    """A multiset over Z_n: a nonnegative multiplicity for each residue."""
-
-    n: int
-    multiplicity: tuple
-
-    def __post_init__(self) -> None:
-        if self.n <= 0:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(self, "multiplicity", tuple(self.multiplicity))
-        if len(self.multiplicity) != self.n:
-            raise ValueError("multiplicity vector must have length n")
-        for c in self.multiplicity:
-            if c < 0:
-                raise ValueError("multiplicities must be nonnegative")
-
-    @classmethod
-    def from_elements(cls, n: int, elements: Iterable[int]) -> "ZnMultiset":
-        counts = [0] * n
-        for x in elements:
-            counts[x % n] += 1
-        return cls(n, tuple(counts))
-
-    @property
-    def mass(self) -> int:
-        return sum(self.multiplicity)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from quasiperm.core import CyclicInterval, Permutation, ZnMultiset, ZnSubset
+from quasiperm.core import CyclicInterval, Permutation, ZnSubset
 from quasiperm.patterns import standardize
 
 
@@ -28,17 +28,18 @@ def window_count_table(indicator: np.ndarray) -> np.ndarray:
     return cs[ts[None, :] + ls[:, None]] - cs[ts[None, :]]
 
 
-def brute_interval_max(s) -> int:
-    """max over every cyclic window J of |n |S∩J| - |S||J||; a ZnMultiset
-    counts with multiplicity."""
-    n = s.n
-    if isinstance(s, ZnMultiset):
-        weights, mass = s.multiplicity, s.mass
-    else:
-        weights, mass = s.indicator(), s.size
+def brute_interval_max(s: ZnSubset) -> int:
+    """max over every cyclic window J of |n |S∩J| - |S||J||."""
+    return brute_weighted_interval_max(s.indicator())
+
+
+def brute_weighted_interval_max(weights) -> int:
+    """max over every cyclic window J of |n w(J) - w(Z_n) |J|| for the
+    multiplicities w of a multiset over Z_n, such as kS."""
+    n = len(weights)
     counts = window_count_table(np.array(weights, dtype=np.int64))
     ls = np.arange(1, n + 1)
-    return int(np.abs(n * counts - mass * ls[:, None]).max(initial=0))
+    return int(np.abs(n * counts - sum(weights) * ls[:, None]).max(initial=0))
 
 
 def brute_piecewise_balance(n: int, s_mask: int) -> Fraction:

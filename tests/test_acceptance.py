@@ -201,7 +201,7 @@ def test_criterion_08_balance_inequality_suite():
                        <= 2 * cert.eps_PB * n * n * sym_abs(k, n))
             # coefficient bound from multiple balance
             if float(cert.eps_MB) <= math.pi / 8:
-                mags = np.abs(fourier_spectrum(s).coeffs)
+                mags = np.abs(fourier_spectrum(s))
                 for k in range(1, n):
                     bound = n * math.sqrt(18 * math.pi * float(cert.eps_MB)
                                           * sym_abs(k, n))

@@ -19,13 +19,14 @@ from quasiperm.balance import (
     sum_statistic,
     translation_statistic,
 )
-from quasiperm.core import CyclicInterval, ZnSubset, ZnMultiset, sym_abs
+from quasiperm.core import CyclicInterval, ZnSubset, sym_abs
 
 from oracles import (
     brute_fourier,
     brute_interval_max,
     brute_piecewise_balance,
     brute_translation,
+    brute_weighted_interval_max,
     fourier_spectrum_direct,
     translation_statistic_direct,
 )
@@ -83,10 +84,23 @@ def test_multiple_discrepancy_examples():
         multiple_discrepancy(evens, 0)
 
 
-def test_multiset_discrepancy_direct():
-    ms = ZnMultiset(4, (5, 0, 0, 0))
-    value, _ = max_interval_discrepancy(ms)
-    assert value == 15  # J={0}: |4*5 - 5*1|
+def dilation_weights(s, k):
+    """Multiplicities of the multiset kS = {k*x mod n : x in S}."""
+    weights = [0] * s.n
+    for x in s.members:
+        weights[k * x % s.n] += 1
+    return weights
+
+
+def test_multiple_discrepancy_is_symmetric_under_negation_exhaustive():
+    # balance_certificate scans only k <= n/2 because D(kS) = D((n-k)S)
+    for n in range(2, 11):
+        for mask in range(1 << n):
+            s = ZnSubset(n, frozenset(x for x in range(n) if mask >> x & 1))
+            for k in range(1, n):
+                value = multiple_discrepancy(s, k)
+                assert value == multiple_discrepancy(s, n - k), (n, mask, k)
+                assert value == brute_weighted_interval_max(dilation_weights(s, k))
 
 
 def test_fourier_fft_matches_direct():
@@ -95,20 +109,20 @@ def test_fourier_fft_matches_direct():
         s = random_subset(n, rng)
         fast = fourier_spectrum(s)
         slow = fourier_spectrum_direct(s)
-        assert np.allclose(fast.coeffs, slow, atol=1e-9)
+        assert np.allclose(fast, slow, atol=1e-9)
         for k in (1, n // 2, n - 1):
-            assert abs(fast.coeffs[k] - brute_fourier(s, k)) < 1e-9
+            assert abs(fast[k] - brute_fourier(s, k)) < 1e-9
 
 
 def test_fourier_zero_coefficient_is_size():
     s = ZnSubset.from_elements(12, [0, 3, 4, 7])
-    assert fourier_spectrum(s).coeffs[0] == pytest.approx(4)
+    assert fourier_spectrum(s)[0] == pytest.approx(4)
 
 
 def test_eigenvalue_bound_profile_monotone_in_alpha():
     s = ZnSubset.from_elements(16, [0, 1, 2, 5, 9, 11])
     stat_half, k_half = eigenvalue_bound_profile(s, 0.5)
-    mags = np.abs(fourier_spectrum(s).coeffs)
+    mags = np.abs(fourier_spectrum(s))
     # the witness k attains the reported statistic
     from quasiperm.core import sym_abs
     assert stat_half == pytest.approx(mags[k_half] / sym_abs(k_half, 16) ** 0.5)
@@ -229,8 +243,8 @@ def test_multiple_balance_matches_oracle():
         n = s.n
         eps, witness = Fraction(0), 0
         for k in range(1, n):
-            dilated = ZnMultiset.from_elements(n, (k * x for x in s.members))
-            val = Fraction(brute_interval_max(dilated), n * n * sym_abs(k, n))
+            val = Fraction(brute_weighted_interval_max(dilation_weights(s, k)),
+                           n * n * sym_abs(k, n))
             if val > eps:
                 eps, witness = val, k
         cert = balance_certificate(s)

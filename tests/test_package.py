@@ -12,12 +12,12 @@ from fresh import run_fresh
 EXPORTS = {
     "core": {
         "CyclicInterval", "DegenerateIntervalError", "ModulusMismatchError",
-        "ParseError", "Permutation", "ZnMultiset", "ZnSubset", "classify_interval",
+        "ParseError", "Permutation", "ZnSubset", "classify_interval",
         "components", "image_of_interval", "parse_permutation", "parse_set",
         "serialize_permutation", "serialize_set", "sym_abs",
     },
     "balance": {
-        "BalanceCertificate", "FourierSpectrum", "balance_certificate",
+        "BalanceCertificate", "balance_certificate",
         "eigenvalue_bound_profile", "fourier_spectrum", "interval_spectrum_magnitudes",
         "max_interval_discrepancy", "multiple_discrepancy", "scaled_discrepancy_in",
         "sum_statistic", "translation_statistic",
