@@ -197,6 +197,7 @@ def balance_certificate(s: ZnSubset) -> BalanceCertificate:
 
     mags = np.abs(fourier_spectrum(s))
     stat_e, witness_e = _max_ratio(mags, 0.5)
+    eps_e_half = stat_e / n
     eps_s = _ratio_square_sum(mags) / n ** 2
 
     # [T]: the translation sum depends on J only through |J|
@@ -214,20 +215,20 @@ def balance_certificate(s: ZnSubset) -> BalanceCertificate:
         eps_B=eps_b, witness_B=witness_b,
         eps_PB=eps_b, witness_PB=tuple(sorted(witness_b.elements())),
         eps_MB=eps_mb, witness_MB=witness_mb,
-        eps_E_half=stat_e / n, witness_E_half=witness_e,
+        eps_E_half=eps_e_half, witness_E_half=witness_e,
         eps_S=eps_s, eps_T=eps_t, witness_T_length=witness_t_len,
         implication_checks=_implication_checks(
-            scaled_d, s.size, dilated, mags,
-            eps_mb=eps_mb, eps_s=eps_s, eps_t=eps_t),
+            scaled_d, s.size, dilated, mags, eps_mb=eps_mb,
+            eps_e_half=eps_e_half, eps_s=eps_s, eps_t=eps_t),
     )
 
 
 def _implication_checks(scaled_d: int, size: int, dilated: np.ndarray,
-                        mags: np.ndarray, *, eps_mb: Fraction, eps_s: float,
-                        eps_t: float) -> dict:
+                        mags: np.ndarray, *, eps_mb: Fraction, eps_e_half: float,
+                        eps_s: float, eps_t: float) -> dict:
     """The quantitative inequalities linking the balance properties, from
-    n*D(S), |S|, the dilation discrepancies n*D(kS) for k = 1..n/2 and the
-    magnitudes |S~(k)|."""
+    n*D(S), |S|, the dilation discrepancies n*D(kS) for k = 1..n/2, the
+    magnitudes |S~(k)| and the certificate's own statistics."""
     n = len(mags)
     ks = _nonzero_ks(n)
     tol = 1e-9 * n
@@ -251,8 +252,8 @@ def _implication_checks(scaled_d: int, size: int, dilated: np.ndarray,
         checks["mb_implies_e_half"] = True  # hypothesis of the bound not met
 
     # one eigenvalue bound yields all the others
-    for alpha, beta in ((0.5, 0.25), (1.0, 0.5)):
-        eps_a = _max_ratio(mags, alpha)[0] / n
+    eps_one = _max_ratio(mags, 1.0)[0] / n
+    for alpha, beta, eps_a in ((0.5, 0.25, eps_e_half), (1.0, 0.5, eps_one)):
         m_exp = math.ceil(alpha / beta)
         checks[f"e{alpha}_implies_e{beta}"] = bool(np.all(
             mags[1:] <= eps_a ** (1.0 / m_exp) * n * ks ** beta + tol))

@@ -219,17 +219,14 @@ def cmd_matrix(args) -> dict:
     from . import patterns
 
     mats = patterns.build_pattern_matrices(args.m)
-    lam = patterns.top_eigenvalue(mats.A)
-    out = {
+    return {
         "m": args.m,
         "B": mats.B.tolist(),
         "A": mats.A.tolist(),
-        "lambda_max": lam,
+        "lambda_max": patterns.top_eigenvalue(mats.A),
         "connected": patterns.occurrence_graph_connected(args.m),
+        "rank_B": patterns.rank_of_B(args.m),
     }
-    if args.m <= patterns.MAX_RANK_ORDER:
-        out["rank_B"] = patterns.rank_of_B(args.m)
-    return out
 
 
 def cmd_construct(args) -> dict:

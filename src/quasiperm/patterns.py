@@ -22,7 +22,6 @@ if TYPE_CHECKING:
 MAX_PROFILE_ORDER = 6
 MAX_PROFILE_STEPS = 5_000_000
 MAX_MATRIX_ORDER = 5
-MAX_RANK_ORDER = 4  # largest m for rank_of_B, and for the rank_B that matrix reports
 # top_eigenvalue stops when two Rayleigh quotients agree to POWER_TOL
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 100_000
@@ -167,7 +166,7 @@ def _step_tables(width: int, m: int) -> tuple:
             table[order] = (units[0], tuple(
                 (order[j], units[j + 1] - units[j]) for j in range(k - 1)))
         tables.append(table)
-    guards = sum(1 << (width * i + width - 1) for i in range(_field_offset(m + 1)))
+    guards = pack(width, m, lambda k: 1 << (width - 1))
     # orders 2 and 3 are unpacked for the flat loop in push
     first, ((_, step),) = tables[0][(0,)]
     pairs = None
@@ -231,6 +230,13 @@ def push(diff: list, prefix: list, a: int, steps: tuple) -> None:
     prefix.append(a)
 
 
+def pack(width: int, m: int, value) -> int:
+    """Packed counts with value(k) in every order-k field, for orders 2..m;
+    `unpack` reads value(k) back from each of them."""
+    fields = (value(k) for k in range(2, m + 1) for _ in range(factorial(k)))
+    return sum(v << (width * i) for i, v in enumerate(fields))
+
+
 def unpack(packed: int, width: int, k: int) -> tuple:
     """Order-k pattern counts in packed counts, lexicographically indexed."""
     mask = (1 << width) - 1
@@ -289,8 +295,6 @@ def top_eigenvalue(a) -> float:
 
 def rank_of_B(m: int) -> int:
     """Exact rank of B_m by fraction-free elimination over the integers."""
-    if m > MAX_RANK_ORDER:
-        raise ValueError(f"rank computation supported for m <= {MAX_RANK_ORDER}")
     b = [[int(x) for x in row] for row in build_pattern_matrices(m).B]
     rows = len(b)
     rank = 0

@@ -120,12 +120,18 @@ def test_fourier_zero_coefficient_is_size():
 
 
 def test_eigenvalue_bound_profile_monotone_in_alpha():
-    s = ZnSubset.from_elements(16, [0, 1, 2, 5, 9, 11])
-    stat_half, k_half = eigenvalue_bound_profile(s, 0.5)
-    mags = np.abs(fourier_spectrum(s))
-    # the witness k attains the reported statistic
-    from quasiperm.core import sym_abs
-    assert stat_half == pytest.approx(mags[k_half] / sym_abs(k_half, 16) ** 0.5)
+    # |k| >= 1 for every k != 0, so raising alpha never raises a ratio
+    rng = random.Random(17)
+    sets = [ZnSubset.from_elements(16, [0, 1, 2, 5, 9, 11])]
+    for n in (7, 12, 25, 64):
+        sets.append(ZnSubset.from_elements(n, rng.sample(range(n), rng.randint(1, n - 1))))
+    for s in sets:
+        stats = [eigenvalue_bound_profile(s, alpha)[0] for alpha in (0.25, 0.5, 1, 2)]
+        assert all(a >= b for a, b in zip(stats, stats[1:])), (s, stats)
+        # the witness k attains the reported statistic
+        stat_half, k_half = eigenvalue_bound_profile(s, 0.5)
+        mags = np.abs(fourier_spectrum(s))
+        assert stat_half == pytest.approx(mags[k_half] / sym_abs(k_half, s.n) ** 0.5)
 
 
 def test_sum_statistic_example():

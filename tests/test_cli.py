@@ -131,6 +131,12 @@ def test_matrix_example(capsys):
     assert r["connected"] is True
 
 
+def test_matrix_reports_rank_at_the_largest_order(capsys):
+    r = run_json(capsys, "matrix", "--m", "5")["results"]
+    assert r["rank_B"] == math.factorial(5)
+    assert len(r["B"]) == 120 and len(r["B"][0]) == 720
+
+
 def test_pattern_count(capsys, perm_file):
     r = run_json(capsys, "pattern-count", "--perm", perm_file, "--m", "2")["results"]
     assert r["counts"] == [6, 0]

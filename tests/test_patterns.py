@@ -16,14 +16,17 @@ from quasiperm.patterns import (
     build_pattern_matrices,
     circ,
     count_pattern,
+    layout,
     lex_first_container,
     occurrence_graph_connected,
+    pack,
     pattern_index,
     patterns_of_order,
     profile,
     rank_of_B,
     standardize,
     top_eigenvalue,
+    unpack,
 )
 from quasiperm.construct import random_permutation
 
@@ -97,6 +100,20 @@ def test_profile_step_limit_raises_before_allocating():
     assert profile(big4, 2).counts == (math.comb(n4, 2), 0)
 
 
+def test_unpack_reads_back_every_field_of_pack():
+    rng = random.Random(5)
+    for n, m in ((4, 2), (9, 3), (12, 4), (20, 5)):
+        width, guards, _ = layout(n, m)
+        values = {k: rng.randrange(1 << (width - 1)) for k in range(2, m + 1)}
+        packed = pack(width, m, values.get)
+        for k in range(2, m + 1):
+            assert unpack(packed, width, k) == (values[k],) * math.factorial(k), (n, m, k)
+        assert packed < 1 << (width * sum(map(math.factorial, range(2, m + 1))))
+        # the guard bits are the top bit of every field
+        for k in range(2, m + 1):
+            assert unpack(guards, width, k) == (1 << (width - 1),) * math.factorial(k)
+
+
 def test_profile_negative_order_names_the_order():
     with pytest.raises(ValueError, match="order -1"):
         profile(Permutation((1, 0, 2)), -1)
@@ -151,7 +168,7 @@ def test_top_eigenvalue_is_cubed():
 
 
 def test_rank_of_B_is_m_factorial():
-    for m in (1, 2, 3, 4):
+    for m in (1, 2, 3, 4, 5):
         assert rank_of_B(m) == math.factorial(m)
 
 
