@@ -8,10 +8,12 @@ counts are exact integers.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .core import Permutation
@@ -113,9 +115,10 @@ def profile(sigma: Permutation, m: int) -> ProfileVector:
     """Counts for all m! patterns, lexicographically indexed.
 
     Order 2 counts inversions.  Orders m >= 3 push sigma's values one by
-    one onto the packed counts of `layout`: O(n^2) steps for orders 2 and
-    3, plus the C(n, m-1) occurrences that orders 4..m enumerate, which
-    must not exceed MAX_PROFILE_STEPS.
+    one onto the packed counts of `layout`: O(n^2) steps for orders 2..4,
+    plus the C(n, m-1) occurrences that orders 5 and 6 enumerate.
+    C(n, m-1) must not exceed MAX_PROFILE_STEPS; at orders 3 and 4 that
+    is a rule on the size only, not a count of steps.
     """
     n = sigma.n
     if m < 0:
@@ -130,8 +133,9 @@ def profile(sigma: Permutation, m: int) -> ProfileVector:
         inv = _inversions(sigma.images)
         return ProfileVector(m, n, (comb(n, 2) - inv, inv))
     if comb(n, m - 1) > MAX_PROFILE_STEPS:
-        raise ValueError(f"order-{m} profile of size {n} takes C({n},{m - 1}) steps, "
-                         f"beyond the limit {MAX_PROFILE_STEPS}")
+        rule = "occurrences enumerated" if m > 4 else "a size rule at orders 3 and 4"
+        raise ValueError(f"order-{m} profile of size {n}: C({n},{m - 1}) is beyond the limit "
+                         f"{MAX_PROFILE_STEPS} ({rule})")
     width, _, steps = layout(n, m)
     diff, prefix, packed = [0] * (n + 1), [], 0
     for a in sigma.images:
@@ -167,14 +171,26 @@ def _step_tables(width: int, m: int) -> tuple:
                 (order[j], units[j + 1] - units[j]) for j in range(k - 1)))
         tables.append(table)
     guards = pack(width, m, lambda k: 1 << (width - 1))
-    # orders 2 and 3 are unpacked for the flat loop in push
+    # orders 2..4 are unpacked for the flat loops in push
     first, ((_, step),) = tables[0][(0,)]
-    pairs = None
+    pairs = triples = None
     if m >= 3:
         asc_first, ((_, asc_x), (_, asc_a)) = tables[1][(0, 1)]
         desc_first, ((_, desc_a), (_, desc_x)) = tables[1][(1, 0)]
         pairs = (asc_first, asc_x, asc_a, desc_first, desc_x, desc_a)
-    return guards, (first, step, pairs, tuple(tables[2:]))
+    if m >= 4:
+        # per side of a (x < a, x > a) and class of y (below, between and
+        # above x and a): the move of x in (y, x, a), and the unit and the
+        # moves of x and a in (x, y, a)
+        def unit_and_moves(vals):
+            start, steps = tables[2][tuple(sorted(range(3), key=vals.__getitem__))]
+            return (start,) + tuple(move for _, move in sorted(steps))
+
+        classes = [(x, y, a) for x, a in ((1, 3), (3, 1)) for y in (0, 2, 4)]
+        _, _, x_before, _ = zip(*(unit_and_moves((y, x, a)) for x, y, a in classes))
+        units, x_after, _, a_moves = zip(*(unit_and_moves((x, y, a)) for x, y, a in classes))
+        triples = ((x_before[:3] + x_after[:3], x_before[3:] + x_after[3:]), units, a_moves)
+    return guards, (first, step, pairs, triples, tuple(tables[3:]))
 
 
 def layout(n: int, m: int) -> tuple:
@@ -202,10 +218,11 @@ def push(diff: list, prefix: list, a: int, steps: tuple) -> None:
     """Append the unused value a to prefix, updating its `diff` in place
     with the steps of every occurrence that ends at a.
 
-    Orders 2 and 3 take O(L) steps: the singleton (a) and the pairs
-    (x, a), grouped by whether x < a.  Each higher order k enumerates its
-    C(L, k-2) occurrences."""
-    first, step, pairs, higher = steps
+    Orders 2..4 take O(L) steps: the singleton (a), the pairs (x, a) by
+    whether x < a, and per x the triples ending at a by class of partner,
+    counted by bisection.  Each higher order k enumerates its C(L, k-2)
+    occurrences."""
+    first, step, pairs, triples, higher = steps
     diff[0] += first
     diff[a + 1] += step
     if pairs is not None:
@@ -220,13 +237,37 @@ def push(diff: list, prefix: list, a: int, steps: tuple) -> None:
         gt = len(prefix) - lt
         diff[0] += lt * asc_first + gt * desc_first
         diff[a + 1] += lt * asc_a + gt * desc_a
-        for k, table in enumerate(higher, start=4):
-            for c in itertools.combinations(prefix, k - 2):
-                vals = c + (a,)
-                unit, moves = table[tuple(sorted(range(k - 1), key=vals.__getitem__))]
-                diff[0] += unit
-                for i, move in moves:
-                    diff[vals[i] + 1] += move
+    if triples is not None:
+        # x's partners y below min(x, a) and max(x, a), among the values before
+        # it (`seen`) and all others (`ordered`), give its counts per class of
+        # y; `after` counts the triples (x, y, a) per side of a and class of y
+        x_moves, units, a_moves = triples
+        ordered, seen, last = sorted(prefix), [], len(prefix) - 1
+        rank_a, seen_a = bisect_left(ordered, a), 0
+        after = [0] * 6
+        for i, x in enumerate(prefix):
+            rank, seen_rank = bisect_left(ordered, x), bisect_left(seen, x)
+            insort(seen, x)
+            if x < a:
+                side, lo, hi, lo_all, hi_all = 0, seen_rank, seen_a, rank, rank_a - 1
+                seen_a += 1
+            else:
+                side, lo, hi, lo_all, hi_all = 1, seen_a, seen_rank, rank_a, rank
+            c = (lo, hi - lo, i - hi,
+                 lo_all - lo, hi_all - lo_all - hi + lo, last - i - hi_all + hi)
+            diff[x + 1] += sum(map(mul, c, x_moves[side]))
+            after[3 * side] += c[3]
+            after[3 * side + 1] += c[4]
+            after[3 * side + 2] += c[5]
+        diff[0] += sum(map(mul, after, units))
+        diff[a + 1] += sum(map(mul, after, a_moves))
+    for k, table in enumerate(higher, start=5):
+        for c in itertools.combinations(prefix, k - 2):
+            vals = c + (a,)
+            unit, moves = table[tuple(sorted(range(k - 1), key=vals.__getitem__))]
+            diff[0] += unit
+            for i, move in moves:
+                diff[vals[i] + 1] += move
     prefix.append(a)
 
 

@@ -298,6 +298,7 @@ def _loads_numpy(*argv) -> bool:
     ("invdist", "--n", "30"),
     ("search-symmetric", "--n", "5", "--m", "2"),
     ("pattern-count", "--m", "3"),
+    ("pattern-count", "--m", "4"),
     ("pattern-count", "--m", "3", "--pattern", "0 2 1"),
 ], ids=" ".join)
 def test_subcommands_without_numeric_work_do_not_import_numpy(tmp_path, argv):

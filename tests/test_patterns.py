@@ -78,6 +78,20 @@ def test_profile_matches_brute_profile_seeded():
         assert profile(sigma, m).counts == brute_profile(sigma, m)
 
 
+def test_order4_profile_past_the_exhaustive_sizes():
+    # prefixes longer than the exhaustive and push tests reach
+    rng = random.Random(53)
+    for n in range(13, 25):
+        sigma = random_permutation(n, rng.randrange(10 ** 6))
+        assert profile(sigma, 4).counts == brute_profile(sigma, 4), n
+    # (n - 3) v_3 = B_3 v_4 exactly, at a size brute force cannot reach
+    n = 200
+    sigma = random_permutation(n, 54)
+    v3 = np.array(profile(sigma, 3).counts, dtype=object)
+    v4 = np.array(profile(sigma, 4).counts, dtype=object)
+    assert ((n - 3) * v3 == build_pattern_matrices(3).B.astype(object) @ v4).all()
+
+
 def test_profile_step_limit_raises_before_allocating():
     # the smallest sizes whose order-3 and order-4 profiles pass the limit
     n3 = next(n for n in itertools.count(3) if math.comb(n, 2) > MAX_PROFILE_STEPS)
