@@ -41,7 +41,7 @@ def profile_discrepancy(g: np.ndarray) -> tuple:
     n = len(g)
     b = int(np.argmax(g))
     a = int(np.argmin(g))
-    value = int(g[b] - g[a])
+    value = int(g[b]) - int(g[a])
     if value == 0:
         return 0, CyclicInterval.empty(n)
     return value, CyclicInterval(n, (a + 1) % n, (b - a) % n)

@@ -15,6 +15,12 @@ for I = (a, b - a), starting at a with length b - a, and its negation that
 of the complement (b, n - b + a).  The range (max - min) of the profile is
 n * max_J D_J(sigma(I)) for both, and `balance.profile_discrepancy` gives
 the J.  So D is the largest range over the row pairs (a, b).
+
+Every entry of q and every row difference is n * c - L * (j + 1) with
+max(0, L + j + 1 - n) <= c <= min(L, j + 1), so |q| <= n^2 / 4.  The table
+is int16 while n^2 < 2^17 (n <= 362) and int32 above; ranges are taken in
+int32.  With an int16 table D is scanned by columns, over blocks of
+starts; with an int32 table, by rows, one start at a time.
 """
 
 from __future__ import annotations
@@ -40,6 +46,9 @@ from .patterns import count_pattern, standardize
 # Largest n the exact scans accept: the prefix table and the scan buffer
 # then take about 67 MB each.
 MAX_DISCREPANCY_SIZE = 4096
+
+# Elements in one block of the column scan, 1 MB of int16.
+_BLOCK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -68,20 +77,26 @@ def _prefix_table(sigma: Permutation) -> np.ndarray:
     if n > MAX_DISCREPANCY_SIZE:
         raise ValueError(f"permutation size {n} exceeds the discrepancy "
                          f"limit {MAX_DISCREPANCY_SIZE}")
-    # |q| <= n^2, and every range of a row difference is <= 2 n^2 < 2^31
-    # at the cap, so int32 holds the table and each scan buffer
-    q = np.full((n, n), -1, dtype=np.int32)
+    # An entry or row difference n * c - L * (j + 1), with c in
+    # [max(0, L + j + 1 - n), min(L, j + 1)], is at most L (n - L) <= n^2 / 4
+    # in size, and both cumsums pass only through such values.  numpy wraps
+    # int16 silently, so int16 is taken only while n^2 / 4 < 2^15, that is
+    # n^2 < 2^17 (n <= 362).  A range, one interval's n c - L m, obeys the
+    # same bound, but ranges are taken in int32 so that only the table
+    # rests on it.
+    dtype = np.int16 if n * n < 1 << 17 else np.int32
+    q = np.full((n, n), -1, dtype=dtype)
     q[0] = 0
     q[np.arange(1, n), np.asarray(sigma.images[:-1], dtype=np.intp)] += n
-    np.cumsum(q, axis=1, dtype=np.int32, out=q)
-    np.cumsum(q, axis=0, dtype=np.int32, out=q)
+    np.cumsum(q, axis=1, dtype=dtype, out=q)
+    np.cumsum(q, axis=0, dtype=dtype, out=q)
     return q
 
 
 def _ranges(rows: np.ndarray, base: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Ranges of the profiles rows[i] - base, computed in out."""
+    """int32 ranges of the profiles rows[i] - base, computed in out."""
     g = np.subtract(rows, base, out=out[:len(rows)])
-    return g.max(axis=1) - g.min(axis=1)
+    return np.subtract(g.max(axis=1), g.min(axis=1), dtype=np.int32)
 
 
 def _witness(q: np.ndarray, a: int, b: int) -> tuple:
@@ -102,18 +117,42 @@ def perm_discrepancy(sigma: Permutation) -> PermDiscrepancyReport:
     shortest length.  Row 0 holds the initial intervals (0, b) and,
     negated, the final ones (b, n - b); its first and last maxima are the
     shortest witnesses of d and d'.
+
+    An int16 table (n <= 362) is scanned by columns: the s starts from a0
+    on make one (n, s, n - a0) buffer of profiles, reduced along the
+    values, and later blocks fit in the first one's buffer.  A block also
+    holds the pairs b < a, negations of the earlier pairs (b, a), so its
+    first maximum is never one of them.  An int32 table is scanned by
+    rows, one start at a time, where columns measured slower.
     """
     q = _prefix_table(sigma)
     n = sigma.n
-    g = np.empty_like(q)
     best, pair = 0, (0, 0)
-    for a in range(n):
-        ranges = _ranges(q[a:], q[a], g)
-        b = int(np.argmax(ranges))
-        if ranges[b] > best:
-            best, pair = int(ranges[b]), (a, a + b)
-        if a == 0:
-            row0 = ranges
+    if q.dtype == np.int16:
+        qt = np.ascontiguousarray(q.T)
+        buf = np.empty(n * n * min(n, _BLOCK // (n * n)), np.int16)
+        a0 = 0
+        while a0 < n:
+            w = n - a0
+            s = min(w, len(buf) // (n * w))
+            g = np.subtract(qt[:, None, a0:], qt[:, a0:a0 + s, None],
+                            out=buf[:n * s * w].reshape(n, s, w))
+            ranges = np.subtract(g.max(axis=0), g.min(axis=0), dtype=np.int32)
+            k = int(np.argmax(ranges))
+            if ranges.flat[k] > best:
+                best, pair = int(ranges.flat[k]), (a0 + k // w, a0 + k % w)
+            if a0 == 0:
+                row0 = ranges[0]
+            a0 += s
+    else:
+        g = np.empty_like(q)
+        for a in range(n):
+            ranges = _ranges(q[a:], q[a], g)
+            b = int(np.argmax(ranges))
+            if ranges[b] > best:
+                best, pair = int(ranges[b]), (a, a + b)
+            if a == 0:
+                row0 = ranges
     big, (big_i, big_j) = _witness(q, *pair)
     d, wit_d = _witness(q, 0, int(np.argmax(row0)))
     dp, wit_dp = _witness(q, n - 1 - int(np.argmax(row0[::-1])), 0)

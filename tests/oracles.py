@@ -16,6 +16,7 @@ import numpy as np
 
 from quasiperm.core import CyclicInterval, Permutation, ZnSubset
 from quasiperm.patterns import standardize
+from quasiperm.permdisc import PermDiscrepancyReport
 
 
 def window_count_table(indicator: np.ndarray) -> np.ndarray:
@@ -131,6 +132,47 @@ def brute_interval_ranges(sigma: Permutation) -> np.ndarray:
             counts = window_count_table(ind)
             table[start, li - 1] = np.abs(n * counts - li * ls[:, None]).max()
     return table
+
+
+def row_scan_perm_discrepancy(sigma: Permutation) -> PermDiscrepancyReport:
+    """The full report of D, d and d' by one row scan per start over an
+    int64 prefix table, for sizes where brute_perm_discrepancy is too slow.
+
+    q[t, j] = n #{x < t : sigma(x) <= j} - t (j + 1).  For a <= b the
+    profile q[b] - q[a] belongs to I = (a, b - a), and its range is
+    n max_J D_J(sigma(I)).  D takes the first maximal pair in (a, b) order,
+    d the first maximal b of row 0, and d' the last, as the complement
+    (b, n - b) with profile q[0] - q[b].  Each J runs from just after the
+    profile's first minimum to its first maximum.
+    """
+    n = sigma.n
+    below = np.zeros((n, n), dtype=np.int64)
+    for t in range(1, n):
+        below[t] = below[t - 1]
+        below[t, sigma.images[t - 1]:] += 1
+    q = n * below - np.arange(n)[:, None] * np.arange(1, n + 1)
+
+    def witness(a, b):
+        g = [int(v) for v in q[b] - q[a]]
+        hi, lo = g.index(max(g)), g.index(min(g))
+        if g[hi] == g[lo]:
+            return 0, (CyclicInterval.empty(n), CyclicInterval.empty(n))
+        return g[hi] - g[lo], (CyclicInterval(n, a, (b - a) % n),
+                               CyclicInterval(n, (lo + 1) % n, (hi - lo) % n))
+
+    best, pair = 0, (0, 0)
+    for a in range(n):
+        g = q[a:] - q[a]
+        ranges = [int(v) for v in g.max(axis=1) - g.min(axis=1)]
+        if max(ranges) > best:
+            best, pair = max(ranges), (a, a + ranges.index(max(ranges)))
+        if a == 0:
+            row0 = ranges
+    big, (big_i, big_j) = witness(*pair)
+    d, wit_d = witness(0, row0.index(max(row0)))
+    last = n - 1 - row0[::-1].index(max(row0))
+    dp, wit_dp = witness(last, 0)
+    return PermDiscrepancyReport(n, big, big_i, big_j, d, wit_d, dp, wit_dp)
 
 
 def brute_count_pattern(sigma: Permutation, tau: Permutation) -> int:

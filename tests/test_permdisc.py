@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -33,6 +34,7 @@ from oracles import (
     brute_interval_ranges,
     brute_perm_discrepancy,
     brute_restricted_max,
+    row_scan_perm_discrepancy,
 )
 
 
@@ -123,6 +125,47 @@ def test_witnesses_follow_the_tie_breaks():
                               (rep.scaled_d, rep.witness_d),
                               (rep.scaled_d_prime, rep.witness_d_prime)):
             assert discrepancy_of_pair(sigma, i, j) == value
+
+
+def _assert_reports_equal(got, expected):
+    for field in dataclasses.fields(PermDiscrepancyReport):
+        assert (getattr(got, field.name) == getattr(expected, field.name)), (
+            expected.n, field.name)
+
+
+def test_perm_discrepancy_matches_the_row_scan_oracle():
+    # the column scan takes several blocks of starts from n = 97 on, so
+    # the first-maximum tie-break is checked across block edges
+    rng = random.Random(89)
+    corpus = [random_permutation(n, rng.randrange(10 ** 6))
+              for n in (50, 97, 128, 200, 256)]
+    corpus += [digit_reversal(2, k) for k in range(5, 9)]
+    for sigma in corpus:
+        _assert_reports_equal(perm_discrepancy(sigma),
+                              row_scan_perm_discrepancy(sigma))
+
+
+@pytest.mark.parametrize("n", [361, 362, 363])
+def test_discrepancy_at_the_int16_table_limit(n):
+    # n <= 362 takes the int16 table and the column scan, n = 363 the
+    # int32 table and the row scan; the identity and the reversal reach
+    # |q| = n^2 / 4, 32 761 at n = 362
+    corpus = [Permutation.identity(n),
+              Permutation(tuple(range(n - 1, -1, -1))),
+              Permutation(tuple((x + n // 2) % n for x in range(n))),
+              random_permutation(n, 97)]
+    for sigma in corpus:
+        rep = perm_discrepancy(sigma)
+        for value, (i, j) in ((rep.scaled_D, (rep.witness_I, rep.witness_J)),
+                              (rep.scaled_d, rep.witness_d),
+                              (rep.scaled_d_prime, rep.witness_d_prime)):
+            assert discrepancy_of_pair(sigma, i, j) == value
+        assert perm_discrepancy(sigma.inverse()).scaled_D == rep.scaled_D
+        # every start is drawn, so the row scan gives D exactly
+        assert (sampled_discrepancy_lower_bound(sigma, 10 ** 6)
+                == rep.scaled_D)
+    for sigma in corpus[:2]:
+        assert perm_discrepancy(sigma).scaled_D == n * n // 4
 
 
 # (images, (D, I, J, d, (I, J), d', (I, J))) with intervals as (start, length)
@@ -259,6 +302,18 @@ def test_exact_scans_stay_within_two_int32_tables():
         finally:
             tracemalloc.stop()
         assert peak < 10 * 10 ** 6, (call.__name__, peak)
+
+
+def test_column_scan_stays_within_two_int16_tables_and_a_block():
+    # two 262 KB int16 tables at n = 362 and one block of at most 1 MB
+    sigma = random_permutation(362, 101)
+    tracemalloc.start()
+    try:
+        perm_discrepancy(sigma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10 ** 6, peak
 
 
 def test_size_limit_raises_before_allocating():
