@@ -164,8 +164,9 @@ def row_scan_perm_discrepancy(sigma: Permutation) -> PermDiscrepancyReport:
     for a in range(n):
         g = q[a:] - q[a]
         ranges = [int(v) for v in g.max(axis=1) - g.min(axis=1)]
-        if max(ranges) > best:
-            best, pair = max(ranges), (a, a + ranges.index(max(ranges)))
+        top = max(ranges)
+        if top > best:
+            best, pair = top, (a, a + ranges.index(top))
         if a == 0:
             row0 = ranges
     big, (big_i, big_j) = witness(*pair)

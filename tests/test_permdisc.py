@@ -154,8 +154,10 @@ def test_discrepancy_at_the_int16_table_limit(n):
               Permutation(tuple(range(n - 1, -1, -1))),
               Permutation(tuple((x + n // 2) % n for x in range(n))),
               random_permutation(n, 97)]
-    for sigma in corpus:
+    for k, sigma in enumerate(corpus):
         rep = perm_discrepancy(sigma)
+        if k < 2:
+            assert rep.scaled_D == n * n // 4
         for value, (i, j) in ((rep.scaled_D, (rep.witness_I, rep.witness_J)),
                               (rep.scaled_d, rep.witness_d),
                               (rep.scaled_d_prime, rep.witness_d_prime)):
@@ -164,8 +166,6 @@ def test_discrepancy_at_the_int16_table_limit(n):
         # every start is drawn, so the row scan gives D exactly
         assert (sampled_discrepancy_lower_bound(sigma, 10 ** 6)
                 == rep.scaled_D)
-    for sigma in corpus[:2]:
-        assert perm_discrepancy(sigma).scaled_D == n * n // 4
 
 
 # (images, (D, I, J, d, (I, J), d', (I, J))) with intervals as (start, length)
