@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
@@ -322,7 +321,7 @@ def _emit_csv(results: dict, out) -> None:
 def _flatten(obj, prefix=""):
     if isinstance(obj, dict):
         for k, v in obj.items():
-            yield from _flatten(v, f"{prefix}{k}." if prefix else f"{k}.")
+            yield from _flatten(v, f"{prefix}{k}.")
     elif isinstance(obj, list):
         for i, v in enumerate(obj):
             yield from _flatten(v, f"{prefix}{i}.")
@@ -351,9 +350,7 @@ def dispatch(argv) -> int:
         return 3
 
     if getattr(args, "csv", False):
-        buf = io.StringIO()
-        _emit_csv(results, buf)
-        sys.stdout.write(buf.getvalue())
+        _emit_csv(results, sys.stdout)
         return 0
 
     report = {

@@ -11,7 +11,9 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
+from operator import sub
 from statistics import median
 from typing import Optional, Sequence
 
@@ -133,17 +135,8 @@ def inversion_distribution(n: int) -> InversionDistribution:
         raise ValueError("size must be in 1..200")
     coeffs = [1]
     for i in range(2, n + 1):
-        # multiply by 1 + q + ... + q^(i-1) using a sliding window sum
-        prev = coeffs
-        out_len = len(prev) + i - 1
-        window = 0
-        out = []
-        for j in range(out_len):
-            window += prev[j] if j < len(prev) else 0
-            if j - i >= 0:
-                window -= prev[j - i]
-            out.append(window)
-        coeffs = out
+        # multiply by 1 + q + ... + q^(i-1) = (1 - q^i) / (1 - q)
+        coeffs = list(accumulate(map(sub, coeffs + [0] * (i - 1), [0] * i + coeffs[:-1])))
     total = factorial(n)
     mean = Fraction(sum(i * c for i, c in enumerate(coeffs)), total)
     second = Fraction(sum(i * i * c for i, c in enumerate(coeffs)), total)

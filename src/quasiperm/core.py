@@ -63,8 +63,6 @@ class CyclicInterval:
         return self.length
 
     def __contains__(self, x: int) -> bool:
-        if self.length == 0:
-            return False
         return (x - self.start) % self.n < self.length
 
     def elements(self) -> Iterator[int]:
@@ -73,7 +71,7 @@ class CyclicInterval:
 
     def wraps(self) -> bool:
         """True when the interval crosses the n-1 / 0 boundary."""
-        return self.length > 0 and self.start + self.length > self.n
+        return self.start + self.length > self.n
 
     def complement(self) -> "CyclicInterval":
         if self.length == self.n:

@@ -8,7 +8,6 @@ counts are exact integers.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -220,8 +219,8 @@ def push(diff: list, prefix: list, a: int, steps: tuple) -> None:
 
     Orders 2..4 take O(L) steps: the singleton (a), the pairs (x, a) by
     whether x < a, and per x the triples ending at a by class of partner,
-    counted by bisection.  Each higher order k enumerates its C(L, k-2)
-    occurrences."""
+    counted by bit counts on masks of values.  Each higher order k
+    enumerates its C(L, k-2) occurrences."""
     first, step, pairs, triples, higher = steps
     diff[0] += first
     diff[a + 1] += step
@@ -239,20 +238,21 @@ def push(diff: list, prefix: list, a: int, steps: tuple) -> None:
         diff[a + 1] += lt * asc_a + gt * desc_a
     if triples is not None:
         # x's partners y below min(x, a) and max(x, a), among the values before
-        # it (`seen`) and all others (`ordered`), give its counts per class of
-        # y; `after` counts the triples (x, y, a) per side of a and class of y
+        # it (bits of `seen`) and all prefix values (bits of `held`), give its
+        # counts per class of y; a has lt prefix values below it; `after`
+        # counts the triples (x, y, a) per side of a and class of y
         x_moves, units, a_moves = triples
-        ordered, seen, last = sorted(prefix), [], len(prefix) - 1
-        rank_a, seen_a = bisect_left(ordered, a), 0
+        held, seen, seen_a, last = sum(1 << x for x in prefix), 0, 0, len(prefix) - 1
         after = [0] * 6
         for i, x in enumerate(prefix):
-            rank, seen_rank = bisect_left(ordered, x), bisect_left(seen, x)
-            insort(seen, x)
+            below = (1 << x) - 1
+            rank, seen_rank = (held & below).bit_count(), (seen & below).bit_count()
+            seen |= 1 << x
             if x < a:
-                side, lo, hi, lo_all, hi_all = 0, seen_rank, seen_a, rank, rank_a - 1
+                side, lo, hi, lo_all, hi_all = 0, seen_rank, seen_a, rank, lt - 1
                 seen_a += 1
             else:
-                side, lo, hi, lo_all, hi_all = 1, seen_a, seen_rank, rank_a, rank
+                side, lo, hi, lo_all, hi_all = 1, seen_a, seen_rank, lt, rank
             c = (lo, hi - lo, i - hi,
                  lo_all - lo, hi_all - lo_all - hi + lo, last - i - hi_all + hi)
             diff[x + 1] += sum(map(mul, c, x_moves[side]))

@@ -163,9 +163,10 @@ def restricted_discrepancies(sigma: Permutation) -> tuple:
     """(n*d, n*d') with the preimage interval restricted to initial
     respectively final intervals and J free; restricting J instead would
     break the block-product recursion inequalities.  The final intervals
-    are the complements of the initial ones, so d' = d."""
+    are the complements of the initial ones, so d' = d.  Row 0 of q is 0,
+    so the rows of q are the profiles of the initial intervals."""
     q = _prefix_table(sigma)
-    d = int(_ranges(q, q[0], np.empty_like(q)).max())
+    d = int(np.subtract(q.max(axis=1), q.min(axis=1), dtype=np.int32).max())
     return d, d
 
 

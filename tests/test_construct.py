@@ -145,7 +145,7 @@ def test_inversion_distribution_small_exact():
 
 
 def test_inversion_distribution_moments():
-    for n in (5, 12, 30):
+    for n in (5, 12, 30, 120, 200):
         dist = inversion_distribution(n)
         assert dist.mean == Fraction(n * (n - 1), 4)
         assert dist.variance == Fraction(n * (n - 1) * (2 * n + 5), 72)

@@ -37,6 +37,14 @@ def test_interval_wrapping_elements():
     assert 9 in iv and 0 in iv and 1 not in iv
 
 
+def test_empty_interval_holds_nothing_and_never_wraps():
+    for n in range(1, 7):
+        for start in range(n):
+            iv = CyclicInterval(n, start, 0)
+            assert not any(x in iv for x in range(-n, 2 * n)), (n, start)
+            assert not iv.wraps(), (n, start)
+
+
 def test_interval_complement_partitions():
     iv = CyclicInterval(7, 5, 4)
     comp = iv.complement()

@@ -304,6 +304,19 @@ def test_exact_scans_stay_within_two_int32_tables():
         assert peak < 10 * 10 ** 6, (call.__name__, peak)
 
 
+def test_restricted_discrepancies_stay_within_one_int32_table():
+    # the n x n int32 prefix table and two length-n vectors: about 4.2 MB
+    # at n = 1024
+    sigma = random_permutation(1024, 83)
+    tracemalloc.start()
+    try:
+        restricted_discrepancies(sigma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 10 ** 6, peak
+
+
 def test_column_scan_stays_within_two_int16_tables_and_a_block():
     # two 262 KB int16 tables at n = 362 and one block of at most 1 MB
     sigma = random_permutation(362, 101)
