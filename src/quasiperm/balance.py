@@ -244,12 +244,14 @@ def _implication_checks(scaled_d: int, size: int, dilated: np.ndarray,
     checks["pb_implies_mb"] = bool(np.all(
         dilated <= 2 * scaled_d * k + size * (np.gcd(k, n) - 1)))
 
-    # multiple balance bounds the k-th coefficient (valid for eps <= pi/8)
-    if float(eps_mb) <= math.pi / 8:
-        checks["mb_implies_e_half"] = bool(np.all(
-            mags[1:] <= n * np.sqrt(18 * math.pi * float(eps_mb) * ks) + tol))
-    else:
-        checks["mb_implies_e_half"] = True  # hypothesis of the bound not met
+    # multiple balance bounds the k-th coefficient when eps_MB <= pi/8, which
+    # always holds.  Let g = gcd(k, n) and c_J = #{x in S : kx in J}.  J of
+    # length L has m <= L + g - 1 preimages under x -> kx, so c_J <= min(|S|, m)
+    # and n*c_J - |S|*L <= m(n - L) <= ((n + k - 1)/2)^2; J's complement bounds
+    # |S|*L - n*c_J alike.  So n*D(kS)/(n^2 k) <= (n + k - 1)^2 / (4 n^2 k),
+    # which is 1/4 at k = 1 and at most 9/32 < pi/8 for 2 <= k <= n/2.
+    checks["mb_implies_e_half"] = bool(np.all(
+        mags[1:] <= n * np.sqrt(18 * math.pi * float(eps_mb) * ks) + tol))
 
     # one eigenvalue bound yields all the others
     eps_one = _max_ratio(mags, 1.0)[0] / n

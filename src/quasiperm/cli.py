@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Every invocation emits exactly one JSON document on stdout:
+Every invocation prints one JSON report on stdout,
 
     {"command": ..., "inputs": ..., "results": ..., "version": ..., "elapsed_ms": ...}
 
-Diagnostics go to stderr.  Exit codes: 0 success, 1 usage error,
-2 invalid input, 3 internal failure.
+or with --csv its results alone, as flat key,value CSV rows.  Diagnostics
+go to stderr.  Exit codes: 0 success, 1 usage error, 2 invalid input,
+3 internal failure.
 
 Each handler imports the modules it computes with, so `--version`,
 invdist, search-symmetric and pattern-count at any order but 2 never
@@ -22,14 +23,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .core import (
-    CyclicInterval,
-    ParseError,
-    components,
-    parse_permutation,
-    parse_set,
-    serialize_permutation,
-)
+from .core import (CyclicInterval, ParseError, Permutation, components,
+                   parse_permutation, parse_set, serialize_permutation)
 
 BIGINT_CUTOFF = 1 << 53  # larger integers become decimal strings
 
@@ -44,17 +39,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def rational(x: Fraction) -> dict:
-    return {"num": _intj(x.numerator), "den": _intj(x.denominator),
-            "float": float(x)}
-
-
 def _intj(v: int):
     return str(v) if abs(v) > BIGINT_CUTOFF else v
 
 
-def interval_json(iv: CyclicInterval) -> dict:
-    return {"start": iv.start, "length": iv.length}
+def _encode(obj):
+    """The report form of a library value, for JSON and CSV alike."""
+    if isinstance(obj, Fraction):
+        return {"num": _intj(obj.numerator), "den": _intj(obj.denominator),
+                "float": float(obj)}
+    if isinstance(obj, CyclicInterval):
+        return {"start": obj.start, "length": obj.length}
+    if isinstance(obj, Permutation):
+        return serialize_permutation(obj)
+    raise TypeError(f"{type(obj).__name__} has no report form")
 
 
 def _read(path: str) -> str:
@@ -147,10 +145,10 @@ def cmd_analyze_set(args) -> dict:
         "n": s.n,
         "size": len(s.members),
         "scaled_D": value,
-        "witness": interval_json(witness),
-        "eps_B": rational(Fraction(value, s.n * s.n)),
+        "witness": witness,
+        "eps_B": Fraction(value, s.n * s.n),
         "components": count,
-        "component_parts": [interval_json(p) for p in parts],
+        "component_parts": parts,
         "eigenvalue_statistic": {"alpha": args.alpha, "value": stat, "k": k_at},
         "sum_statistic": balance.sum_statistic(s),
     }
@@ -179,12 +177,12 @@ def cmd_analyze_perm(args) -> dict:
         "n": rep.n,
         "mode": "exact",
         "scaled_D": rep.scaled_D,
-        "witness_I": interval_json(rep.witness_I),
-        "witness_J": interval_json(rep.witness_J),
+        "witness_I": rep.witness_I,
+        "witness_J": rep.witness_J,
         "scaled_d": rep.scaled_d,
-        "witness_d": [interval_json(iv) for iv in rep.witness_d],
+        "witness_d": rep.witness_d,
         "scaled_d_prime": rep.scaled_d_prime,
-        "witness_d_prime": [interval_json(iv) for iv in rep.witness_d_prime],
+        "witness_d_prime": rep.witness_d_prime,
     }
 
 
@@ -201,16 +199,16 @@ def cmd_pattern_count(args) -> dict:
         return {
             "n": sigma.n,
             "m": args.m,
-            "pattern": list(tau.images),
+            "pattern": tau.images,
             "count": _intj(patterns.count_pattern(sigma, tau)),
         }
     prof = patterns.profile(sigma, args.m)
     return {
         "n": sigma.n,
         "m": args.m,
-        "patterns": [list(t.images) for t in patterns.patterns_of_order(args.m)],
+        "patterns": [t.images for t in patterns.patterns_of_order(args.m)],
         "counts": [_intj(c) for c in prof.counts],
-        "centered_norm_sq": rational(prof.centered_norm_sq()),
+        "centered_norm_sq": prof.centered_norm_sq(),
     }
 
 
@@ -236,7 +234,7 @@ def cmd_construct(args) -> dict:
         "base": args.n,
         "factors": args.k,
         "size": sigma.n,
-        "images": list(sigma.images),
+        "images": sigma.images,
         "product_bound": construct.product_bound([args.n] * args.k),
         "schmidt_floor": construct.schmidt_floor(sigma.n),
     }
@@ -254,8 +252,8 @@ def cmd_random_stats(args) -> dict:
         "n": args.n,
         "trials": args.trials,
         "seed": args.seed,
-        "scaled_D": list(sample.scaled_values),
-        "ratios": list(sample.ratios),
+        "scaled_D": sample.scaled_values,
+        "ratios": sample.ratios,
         "max_ratio": sample.max_ratio,
         "median_ratio": sample.median_ratio,
     }
@@ -268,8 +266,8 @@ def cmd_invdist(args) -> dict:
     return {
         "n": args.n,
         "counts": [str(c) for c in dist.counts],
-        "mean": rational(dist.mean),
-        "variance": rational(dist.variance),
+        "mean": dist.mean,
+        "variance": dist.variance,
     }
 
 
@@ -280,7 +278,7 @@ def cmd_search_symmetric(args) -> dict:
     return {
         "n": args.n,
         "m": args.m,
-        "found": [serialize_permutation(p) for p in res.found],
+        "found": res.found,
         "nodes_explored": res.nodes_explored,
         "exhaustive": res.exhaustive,
     }
@@ -293,9 +291,9 @@ def cmd_certify(args) -> dict:
     cert = balance.balance_certificate(s)
     return {
         "n": s.n,
-        "eps_B": rational(cert.eps_B),
-        "eps_PB": rational(cert.eps_PB),
-        "eps_MB": rational(cert.eps_MB),
+        "eps_B": cert.eps_B,
+        "eps_PB": cert.eps_PB,
+        "eps_MB": cert.eps_MB,
         "eps_E_half": cert.eps_E_half,
         "eps_S": cert.eps_S,
         "eps_T": cert.eps_T,
@@ -306,27 +304,18 @@ def cmd_certify(args) -> dict:
     }
 
 
-def _inputs_echo(args) -> dict:
-    skip = {"command", "csv", "handler"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
-
-def _emit_csv(results: dict, out) -> None:
-    w = csv.writer(out)
-    w.writerow(["key", "value"])
-    for key, value in _flatten(results):
-        w.writerow([key, value])
-
-
 def _flatten(obj, prefix=""):
+    # json writes None, str, int and float as they are, anything else by _encode
     if isinstance(obj, dict):
         for k, v in obj.items():
             yield from _flatten(v, f"{prefix}{k}.")
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             yield from _flatten(v, f"{prefix}{i}.")
-    else:
+    elif obj is None or isinstance(obj, (str, int, float)):
         yield prefix.rstrip("."), obj
+    else:
+        yield from _flatten(_encode(obj), prefix)
 
 
 def dispatch(argv) -> int:
@@ -345,22 +334,25 @@ def dispatch(argv) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal failure: {exc}", file=sys.stderr)
         return 3
 
-    if getattr(args, "csv", False):
-        _emit_csv(results, sys.stdout)
+    if args.csv:
+        out = csv.writer(sys.stdout)
+        out.writerow(["key", "value"])
+        out.writerows(_flatten(results))
         return 0
 
     report = {
         "command": args.command,
-        "inputs": _inputs_echo(args),
+        "inputs": {k: v for k, v in vars(args).items()
+                   if k not in ("command", "csv", "handler")},
         "results": results,
         "version": __version__,
         "elapsed_ms": round((time.perf_counter() - start) * 1000.0, 3),
     }
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
+    json.dump(report, sys.stdout, indent=2, sort_keys=True, default=_encode)
     sys.stdout.write("\n")
     return 0
 

@@ -228,9 +228,10 @@ def parse_set(text: str) -> ZnSubset:
         if not 0 <= v < n:
             raise ParseError(f"element {v} at index {i} outside [0, {n})")
         elements.append(v)
-    if len(set(elements)) != len(elements):
+    members = frozenset(elements)
+    if len(members) != len(elements):
         raise ParseError("repeated element in set")
-    return ZnSubset.from_elements(n, elements)
+    return ZnSubset(n, members)
 
 
 def serialize_set(s: ZnSubset) -> str:

@@ -170,21 +170,21 @@ def _step_tables(width: int, m: int) -> tuple:
                 (order[j], units[j + 1] - units[j]) for j in range(k - 1)))
         tables.append(table)
     guards = pack(width, m, lambda k: 1 << (width - 1))
-    # orders 2..4 are unpacked for the flat loops in push
-    first, ((_, step),) = tables[0][(0,)]
-    pairs = triples = None
-    if m >= 3:
-        asc_first, ((_, asc_x), (_, asc_a)) = tables[1][(0, 1)]
-        desc_first, ((_, desc_a), (_, desc_x)) = tables[1][(1, 0)]
-        pairs = (asc_first, asc_x, asc_a, desc_first, desc_x, desc_a)
+
+    # orders 2..4 are unpacked for the flat loops in push: the unit of an
+    # occurrence with values vals, then its moves in order of position
+    def unit_and_moves(vals):
+        order = tuple(sorted(range(len(vals)), key=vals.__getitem__))
+        start, steps = tables[len(vals) - 1][order]
+        return (start,) + tuple(move for _, move in sorted(steps))
+
+    first, step = unit_and_moves((0,))
+    pairs = unit_and_moves((0, 1)) + unit_and_moves((1, 0)) if m >= 3 else None
+    triples = None
     if m >= 4:
         # per side of a (x < a, x > a) and class of y (below, between and
         # above x and a): the move of x in (y, x, a), and the unit and the
         # moves of x and a in (x, y, a)
-        def unit_and_moves(vals):
-            start, steps = tables[2][tuple(sorted(range(3), key=vals.__getitem__))]
-            return (start,) + tuple(move for _, move in sorted(steps))
-
         classes = [(x, y, a) for x, a in ((1, 3), (3, 1)) for y in (0, 2, 4)]
         _, _, x_before, _ = zip(*(unit_and_moves((y, x, a)) for x, y, a in classes))
         units, x_after, _, a_moves = zip(*(unit_and_moves((x, y, a)) for x, y, a in classes))

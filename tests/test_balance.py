@@ -257,6 +257,21 @@ def test_multiple_balance_matches_oracle():
         assert (cert.eps_MB, cert.witness_MB) == (eps, witness), sorted(s.members)
 
 
+def test_multiple_balance_never_exceeds_a_quarter():
+    # the bound n*D(kS) <= ((n + k - 1)/2)^2 of _implication_checks, which keeps
+    # eps_MB below pi/8; the largest eps_MB for n <= 12 is 1/4, at n = 2
+    largest = Fraction(0)
+    for n in range(1, 13):
+        for mask in range(1 << n):
+            s = ZnSubset(n, frozenset(x for x in range(n) if mask >> x & 1))
+            for k in range(1, n // 2 + 1):
+                d = multiple_discrepancy(s, k)
+                assert 4 * d <= (n + k - 1) ** 2, (n, mask, k)
+                largest = max(largest, Fraction(d, n * n * k))
+    assert largest == Fraction(1, 4) < math.pi / 8
+    assert balance_certificate(ZnSubset(2, frozenset({0}))).eps_MB == Fraction(1, 4)
+
+
 ALL_CHECKS_HOLD = {"pb_implies_mb": True, "mb_implies_e_half": True,
                    "e0.5_implies_e0.25": True, "e1.0_implies_e0.5": True,
                    "s_implies_t": True}

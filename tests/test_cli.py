@@ -3,12 +3,13 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from quasiperm.balance import MAX_CERTIFICATE_SIZE
-from quasiperm.cli import dispatch
-from quasiperm.core import MAX_SET_MODULUS
+from quasiperm.cli import _encode, dispatch
+from quasiperm.core import MAX_SET_MODULUS, CyclicInterval, Permutation
 from quasiperm.patterns import MAX_PROFILE_STEPS
 from quasiperm.permdisc import MAX_DISCREPANCY_SIZE
 from quasiperm.symmetry import MAX_SEARCH_SIZE
@@ -231,6 +232,15 @@ def test_csv_output(capsys, set_file):
     lines = out.strip().splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("scaled_D,5") for line in lines)
+
+
+def test_report_form_of_library_values():
+    assert _encode(Fraction(1, 3)) == {"num": 1, "den": 3, "float": 1 / 3}
+    assert _encode(Fraction(1 << 60, 3))["num"] == str(1 << 60)
+    assert _encode(CyclicInterval(8, 6, 3)) == {"start": 6, "length": 3}
+    assert _encode(Permutation((2, 0, 1))) == "2 0 1"
+    with pytest.raises(TypeError, match="complex has no report form"):
+        _encode(1j)
 
 
 def test_entry_point_subprocess(perm_file):
