@@ -65,8 +65,8 @@ CASES = {
     "error.budget-required": ["search-symmetric", "--n", "11", "--m", "2"],
     "error.internal": ["matrix", "--m", "2"],
 }
-for _name in ("analyze-set", "analyze-perm", "pattern-count.pattern", "invdist", "certify"):
-    CASES[f"{_name}.csv"] = CASES[_name] + ["--csv"]
+CASES.update({f"{name}.csv": CASES[name] + ["--csv"] for name in (
+    "analyze-set", "analyze-perm", "pattern-count.pattern", "invdist", "certify")})
 
 # cases run with this handler replaced by one that raises RuntimeError
 BROKEN_HANDLER = {"error.internal": "cmd_matrix"}
