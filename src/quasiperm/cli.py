@@ -124,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--budget", type=int, default=None,
-                   help="node budget; required for n above 10")
+                   help="work budget: one unit per node plus the occurrence "
+                        "steps of each push at orders 3..m, so nodes at m = 2; "
+                        "required for n above 10")
 
     p = add("certify", cmd_certify,
             help="balance certificate with implication checks")
@@ -327,6 +329,20 @@ def dispatch(argv) -> int:
             parser.print_usage(sys.stderr)
             return 1
         results = args.handler(args)
+        # encoded in full before anything is written, so a report that
+        # cannot be encoded leaves stdout empty
+        if args.csv:
+            rows = list(_flatten(results))
+        else:
+            report = {
+                "command": args.command,
+                "inputs": {k: v for k, v in vars(args).items()
+                           if k not in ("command", "csv", "handler")},
+                "results": results,
+                "version": __version__,
+                "elapsed_ms": round((time.perf_counter() - start) * 1000.0, 3),
+            }
+            text = json.dumps(report, indent=2, sort_keys=True, default=_encode)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -341,19 +357,9 @@ def dispatch(argv) -> int:
     if args.csv:
         out = csv.writer(sys.stdout)
         out.writerow(["key", "value"])
-        out.writerows(_flatten(results))
-        return 0
-
-    report = {
-        "command": args.command,
-        "inputs": {k: v for k, v in vars(args).items()
-                   if k not in ("command", "csv", "handler")},
-        "results": results,
-        "version": __version__,
-        "elapsed_ms": round((time.perf_counter() - start) * 1000.0, 3),
-    }
-    json.dump(report, sys.stdout, indent=2, sort_keys=True, default=_encode)
-    sys.stdout.write("\n")
+        out.writerows(rows)
+    else:
+        sys.stdout.write(text + "\n")
     return 0
 
 

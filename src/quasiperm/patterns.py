@@ -143,6 +143,7 @@ def profile(sigma: Permutation, m: int) -> ProfileVector:
     return ProfileVector(m, n, unpack(packed, width, m))
 
 
+@lru_cache(maxsize=None)
 def _field_offset(k: int) -> int:
     """Index of the first order-k field in the packed counts of `layout`."""
     return sum(factorial(j) for j in range(2, k))
@@ -274,7 +275,7 @@ def push(diff: list, prefix: list, a: int, steps: tuple) -> None:
 def pack(width: int, m: int, value) -> int:
     """Packed counts with value(k) in every order-k field, for orders 2..m;
     `unpack` reads value(k) back from each of them."""
-    fields = (value(k) for k in range(2, m + 1) for _ in range(factorial(k)))
+    fields = (v for k in range(2, m + 1) for v in [value(k)] * factorial(k))
     return sum(v << (width * i) for i, v in enumerate(fields))
 
 

@@ -12,7 +12,7 @@ from math import comb, factorial, inf
 from typing import Optional
 
 from .core import Permutation
-from .patterns import layout, pack, profile, push
+from .patterns import layout, pack, profile, push, unpack
 
 EXHAUSTIVE_SIZE_LIMIT = 10
 MAX_SEARCH_SIZE = 512
@@ -84,11 +84,28 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
     (high - y) & (y + low[L]) exactly when every count of y lies in its
     [floor, target] window.
 
+    At m >= 3 a pushed prefix of length L must also pass two prunes on
+    the counts that its value set already fixes (`fixed_counts`).  Every
+    count ends in [F, F + C(n,k) - C(L,k) - C(L,k-1)(n-L)], and the
+    occurrences wholly in the suffix of the two order-3 patterns p, q that
+    start with rank r number 2 t_3 - F_p - F_q - G_r, which must lie in
+    [0, C(n-L, 3)].  Only the upper ends of these windows are tested: the
+    F of one order sum to C(L,k) + C(L,k-1)(n-L) and the targets to
+    C(n,k), and the three class slacks sum to C(n-L, 3), so once every
+    value is at most its bound none can fall below its floor.  The prunes
+    are left out at m = 2, where every node count stays as it was, the
+    CLI's (5, 2) report among them.
+
+    A budget counts work: one unit per node, plus the occurrence steps of
+    each push at orders 3..m (L at orders 3 and 4, C(L, k-2) at order
+    k >= 5, for a prefix of length L), so at m = 2 it counts nodes.  A
+    search that runs out reports the nodes counted by then.
+
     The complement x -> n-1-x maps solutions to solutions, and the windows
     are the same for all patterns of one order.  So under the empty prefix,
     and under [(n-1)/2] at odd n, the subtree of a value v > n-1-v is the
-    mirror image of one already searched: its nodes are counted without
-    being visited and its solutions are the mirror's complements.
+    mirror image of one already searched: its nodes and work are counted
+    without being visited and its solutions are the mirror's complements.
 
     At m = 2 the counts a value adds depend only on the prefix's value set,
     and the prune reads only the inversion count, so a subtree is fixed by
@@ -126,17 +143,33 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
     # the floors at prefix length L, clamped at zero
     low = [guards - pack(width, m, lambda k: max(0, targets[k] - comb(n, k) + comb(L, k)))
            for L in range(n + 1)]
+    # the work of a push onto a prefix of length L
+    cost = [sum(L if k <= 4 else comb(L, k - 2) for k in range(3, m + 1)) for L in range(n)]
     limit = inf if budget is None else budget
     merged = {} if m == 2 else None
     found, prefix = [], []
+    pushed = 0  # the work of every push so far
 
-    def extend(depth: int, mask: int, packed: int, diff: list, nodes: int) -> int:
+    def fits(packed: int, diff: list) -> bool:
+        """The m >= 3 prunes on the pushed `prefix`: every count of F is at
+        most its target, and F_p + F_q + G_r at most 2 t_3."""
+        fixed, classes = fixed_counts(n, prefix, packed, diff)
+        if ((high - fixed) & guards) != guards:
+            return False
+        counts = unpack(fixed, width, 3)
+        return all(counts[2 * r] + counts[2 * r + 1] + g <= 2 * targets[3]
+                   for r, g in enumerate(classes))
+
+    def extend(depth: int, mask: int, packed: int, diff: list, work: int) -> int:
         """Try every unused value after `prefix`, of length `depth`, value
-        set `mask` and counts `packed` and `diff`, with `nodes` nodes
-        counted so far; return the count after its subtree."""
+        set `mask` and counts `packed` and `diff`, with `work` units counted
+        so far; return the count after its subtree."""
+        nonlocal pushed
         if depth == n:
             found.append(tuple(prefix))
-            return nodes
+            return work
+        if m > 2 and not fits(packed, diff):
+            return work
         fixed = depth == 0 or depth == 1 and 2 * prefix[0] == n - 1
         floor = low[depth + 1]
         mirror = {}
@@ -147,41 +180,44 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
                 continue
             if fixed:
                 if n - 1 - v in mirror:
-                    size, solutions = mirror[n - 1 - v]
-                    if nodes + size <= limit:
-                        nodes += size
+                    size, push_size, solutions = mirror[n - 1 - v]
+                    if work + size <= limit:
+                        work += size
+                        pushed += push_size
                         found.extend(_complements(n, solutions))
                         continue
-                start, first = nodes, len(found)
-            nodes += 1
-            if nodes > limit:
-                raise _BudgetExceeded
+                start, start_pushed, first = work, pushed, len(found)
+            work += 1
+            if work > limit:
+                raise _BudgetExceeded(work - pushed)
             y = packed + ext
             if ((high - y) & (y + floor) & guards) == guards:
                 key = entry = None
                 if merged is not None:
+                    # pushes cost no work at m = 2, so work counts nodes
                     key = (mask | 1 << v, y)
                     entry = merged.get(key)
-                if entry is not None and nodes + entry[0] <= limit:
-                    nodes += entry[0]
+                if entry is not None and work + entry[0] <= limit:
+                    work += entry[0]
                     if entry[1]:
                         found.extend(_completions(prefix, v, entry[1]))
                 else:
-                    before, count = nodes, len(found)
+                    before, count = work, len(found)
                     child = diff.copy()
                     push(child, prefix, v, steps)
-                    nodes = extend(depth + 1, mask | 1 << v, y, child, nodes)
+                    pushed += cost[depth]
+                    work = extend(depth + 1, mask | 1 << v, y, child, work + cost[depth])
                     prefix.pop()
                     if key is not None and len(merged) < ORDER2_TABLE_CAP:
-                        merged[key] = (nodes - before, _suffixes(found, count, depth + 1))
+                        merged[key] = (work - before, _suffixes(found, count, depth + 1))
             if fixed:
-                mirror[v] = (nodes - start, found[first:])
-        return nodes
+                mirror[v] = (work - start, pushed - start_pushed, found[first:])
+        return work
 
     try:
-        nodes, exhaustive = extend(0, 0, 0, [0] * (n + 1), 0), True
-    except _BudgetExceeded:
-        nodes, exhaustive = limit + 1, False
+        nodes, exhaustive = extend(0, 0, 0, [0] * (n + 1), 0) - pushed, True
+    except _BudgetExceeded as stop:
+        (nodes,), exhaustive = stop.args, False
     finally:
         # extend holds itself in its closure: break the cycle, and free the
         # tables before the solutions are copied
@@ -190,8 +226,39 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
     return SymmetrySearchResult(n, m, [Permutation(p) for p in found], nodes, exhaustive)
 
 
+def fixed_counts(n: int, values: list, packed: int, diff: list) -> tuple:
+    """(F, (G_0, G_1, G_2)) of a prefix of a permutation of size n with
+    the given values and the packed counts `packed` and `diff` of
+    patterns.layout.
+
+    F counts, for every pattern of every order k, the occurrences with at
+    least k-1 positions in the prefix, packed like `packed`: an occurrence
+    with its last position in the suffix has the same pattern wherever
+    that position is, so those of each unused value v are the ext_v of
+    `diff`, whatever order the suffix takes.  ext_v changes only where v
+    passes a prefix value, so one step per prefix value adds it over each
+    run of unused values.  G_r counts the order-3 occurrences with only
+    their first position x in the prefix whose first rank is r: C(a, 2),
+    a*b and C(b, 2) for r = 0, 1, 2, with a and b the unused values above
+    and below x, which only need the sums of b and b^2.
+    """
+    held = len(values)
+    free = n - held
+    fixed, ext, last, s1, s2 = packed, diff[0], -1, 0, 0
+    for rank, x in enumerate(sorted(values)):
+        fixed += ext * (x - last - 1)
+        ext += diff[x + 1]
+        below = x - rank
+        s1 += below
+        s2 += below * below
+        last = x
+    fixed += ext * (n - 1 - last)
+    return fixed, ((held * free * (free - 1) - (2 * free - 1) * s1 + s2) // 2,
+                   free * s1 - s2, (s2 - s1) // 2)
+
+
 class _BudgetExceeded(Exception):
-    """Raised at the first node past the budget."""
+    """Raised at the first node past the budget, with the nodes counted."""
 
 
 # Module-level, not comprehensions in extend: a comprehension there would

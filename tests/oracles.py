@@ -255,10 +255,45 @@ def brute_inversions(images) -> int:
                if images[i] > images[j])
 
 
+def brute_fixed_counts(prefix, n: int, k: int) -> tuple:
+    """The order-k occurrences, per pattern, that every permutation of size
+    n starting with `prefix` has with at least k-1 positions in the prefix,
+    for k >= 2: each (k-1)-subset of the prefix with an unused value or a
+    later prefix value appended, standardized."""
+    counts = dict.fromkeys(itertools.permutations(range(k)), 0)
+    unused = [v for v in range(n) if v not in prefix]
+    for pos in itertools.combinations(range(len(prefix)), k - 1):
+        head = [prefix[p] for p in pos]
+        for v in unused:
+            counts[standardize(head + [v])] += 1
+        for p in range(pos[-1] + 1, len(prefix)):
+            counts[standardize(head + [prefix[p]])] += 1
+    return tuple(counts.values())
+
+
+def brute_first_rank_counts(prefix, n: int) -> tuple:
+    """G_r for r = 0, 1, 2: the order-3 occurrences of one prefix value x
+    and two unused values after it, counted by how many of the two lie
+    below x."""
+    counts = [0, 0, 0]
+    unused = [v for v in range(n) if v not in prefix]
+    for x in prefix:
+        for pair in itertools.combinations(unused, 2):
+            counts[sum(v < x for v in pair)] += 1
+    return tuple(counts)
+
+
+def push_work(m: int, length: int) -> int:
+    """Occurrence steps of a push onto a prefix of this length at orders
+    3..m: the length itself at orders 3 and 4, C(length, k-2) at k >= 5."""
+    return sum(length if k <= 4 else math.comb(length, k - 2) for k in range(3, m + 1))
+
+
 class SearchTrace(NamedTuple):
     total: int          # nodes of the whole tree
     hits: list          # (node index at which it is reached, images), in DFS order
     root_starts: list   # node index of each value tried at the root
+    work: list          # work counted at each node, node 1 first
 
 
 def brute_search_trace(n: int, m: int) -> SearchTrace:
@@ -268,13 +303,21 @@ def brute_search_trace(n: int, m: int) -> SearchTrace:
     tried is one node, numbered from 1.  A prefix of length L is kept
     when every order-k count (2 <= k <= m) of its standardized pattern,
     recounted by brute_profile, lies in [C(n,k)/k! - C(n,k) + C(L,k),
-    C(n,k)/k!].  With budget B the search returns the hits of index <= B,
-    min(total, B + 1) nodes, and exhaustive = (B >= total).
+    C(n,k)/k!].  At m >= 3 a kept prefix is pushed and then searched only
+    when every count of brute_fixed_counts lies in [C(n,k)/k! - free,
+    C(n,k)/k!], free being the occurrences with at least two positions
+    after the prefix, and 2 C(n,3)/6 - F_p - F_q - G_r lies in
+    [0, C(n-L,3)] for the two order-3 patterns p, q that start with rank r.
+    A node counts one unit of work and a push `push_work`.  With budget B
+    the search stops at the first node whose work exceeds B, which it
+    reports as nodes_explored, with the hits of the nodes before it; at
+    m = 2 that is the hits of index <= B, min(total, B + 1) nodes, and
+    exhaustive = (B >= total).
     """
     targets = {k: math.comb(n, k) // math.factorial(k) for k in range(2, m + 1)}
     if any(math.comb(n, k) % math.factorial(k) for k in targets):
-        return SearchTrace(0, [], [])
-    nodes, hits, root_starts = 0, [], []
+        return SearchTrace(0, [], [], [])
+    nodes, spent, hits, root_starts, work = 0, 0, [], [], []
 
     @functools.cache  # the verdict depends on the standardized pattern only
     def kept(pattern):
@@ -285,19 +328,35 @@ def brute_search_trace(n: int, m: int) -> SearchTrace:
                 return False
         return True
 
+    def fixed_counts_fit(prefix):
+        L = len(prefix)
+        for k, target in targets.items():
+            free = math.comb(n, k) - math.comb(L, k) - math.comb(L, k - 1) * (n - L)
+            if not all(target - free <= c <= target for c in brute_fixed_counts(prefix, n, k)):
+                return False
+        f3 = brute_fixed_counts(prefix, n, 3)
+        classes = brute_first_rank_counts(prefix, n)
+        return all(0 <= 2 * targets[3] - f3[2 * r] - f3[2 * r + 1] - classes[r]
+                   <= math.comb(n - L, 3) for r in range(3))
+
     def dfs(prefix):
-        nonlocal nodes
+        nonlocal nodes, spent
         if len(prefix) == n:
             hits.append((nodes, tuple(prefix)))
+            return
+        if m >= 3 and not fixed_counts_fit(prefix):
             return
         for v in range(n):
             if v in prefix:
                 continue
             nodes += 1
+            spent += 1
+            work.append(spent)
             if not prefix:
                 root_starts.append(nodes)
             if kept(standardize(prefix + [v])):
+                spent += push_work(m, len(prefix))
                 dfs(prefix + [v])
 
     dfs([])
-    return SearchTrace(nodes, hits, root_starts)
+    return SearchTrace(nodes, hits, root_starts, work)

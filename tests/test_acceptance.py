@@ -199,13 +199,13 @@ def test_criterion_08_balance_inequality_suite():
             for k in range(1, n):
                 ok &= (Fraction(multiple_discrepancy(s, k))
                        <= 2 * cert.eps_PB * n * n * sym_abs(k, n))
-            # coefficient bound from multiple balance
-            if float(cert.eps_MB) <= math.pi / 8:
-                mags = np.abs(fourier_spectrum(s))
-                for k in range(1, n):
-                    bound = n * math.sqrt(18 * math.pi * float(cert.eps_MB)
-                                          * sym_abs(k, n))
-                    ok &= mags[k] <= bound + 1e-9
+            # coefficient bound from multiple balance; it needs
+            # eps_MB <= pi/8, which always holds (eps_MB <= 9/32)
+            mags = np.abs(fourier_spectrum(s))
+            for k in range(1, n):
+                bound = n * math.sqrt(18 * math.pi * float(cert.eps_MB)
+                                      * sym_abs(k, n))
+                ok &= mags[k] <= bound + 1e-9
             # translation dominated by the sum statistic, every length
             cap = (n / 4) * sum_statistic(s)
             for length in range(1, n + 1):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from quasiperm.balance import MAX_CERTIFICATE_SIZE
+from quasiperm import cli
 from quasiperm.cli import _encode, dispatch
 from quasiperm.core import MAX_SET_MODULUS, CyclicInterval, Permutation
 from quasiperm.patterns import MAX_PROFILE_STEPS
@@ -241,6 +242,16 @@ def test_report_form_of_library_values():
     assert _encode(Permutation((2, 0, 1))) == "2 0 1"
     with pytest.raises(TypeError, match="complex has no report form"):
         _encode(1j)
+
+
+@pytest.mark.parametrize("fmt", [(), ("--csv",)], ids=["json", "csv"])
+def test_report_that_cannot_be_encoded_is_internal_failure(capsys, monkeypatch, fmt):
+    # nothing is written before the whole report is encoded
+    monkeypatch.setattr(cli, "cmd_invdist", lambda args: {"x": object()})
+    assert dispatch(["invdist", "--n", "3", *fmt]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal failure: object has no report form\n"
 
 
 def test_entry_point_subprocess(perm_file):

@@ -6,7 +6,8 @@ import tracemalloc
 
 import pytest
 
-from oracles import brute_inversions, brute_profile, brute_search_trace
+from oracles import (brute_first_rank_counts, brute_fixed_counts, brute_inversions,
+                     brute_profile, brute_search_trace)
 from quasiperm.core import Permutation
 from quasiperm import symmetry
 from quasiperm.patterns import layout, patterns_of_order, push, standardize, unpack
@@ -14,6 +15,7 @@ from quasiperm.symmetry import (
     MAX_SEARCH_SIZE,
     SearchBudgetRequired,
     divisibility_D,
+    fixed_counts,
     h,
     is_perfect_m_symmetric,
     search_perfect,
@@ -108,10 +110,11 @@ def test_search_generic_order_agrees():
     res = search_perfect(6, 4)
     assert res.found == []
     assert res.exhaustive and res.nodes_explored == 0
-    # the backtracker at order 4, capped (full m=4 search needs n >= 64)
+    # the backtracker at order 4, capped (full m=4 search needs n >= 64);
+    # the budget counts 2L units of work for each push onto L values
     res = search_perfect(64, 4, budget=500)
     assert not res.exhaustive
-    assert res.found == [] and res.nodes_explored == 501
+    assert res.found == [] and res.nodes_explored == 35
 
 
 def test_budget_semantics():
@@ -131,13 +134,17 @@ def test_search_tree_is_pinned():
     # node counts of the exhaustive searches; the CLI reports them
     assert search_perfect(5, 2).nodes_explored == 315
     res = search_perfect(9, 3)
-    assert res.nodes_explored == 597_879 and res.exhaustive
+    assert res.nodes_explored == 2_965 and res.exhaustive
     assert [p.images for p in res.found] == [(2, 3, 8, 7, 4, 1, 0, 5, 6),
                                              (6, 5, 0, 1, 4, 7, 8, 3, 2)]
-    for n, m, budget in ((12, 2, 20_000), (13, 2, 200_000), (20, 3, 20_000)):
+    for n, m, budget in ((12, 2, 20_000), (13, 2, 200_000)):
         res = search_perfect(n, m, budget)
         assert res.nodes_explored == budget + 1
         assert res.found == [] and not res.exhaustive
+    # at m = 3 the budget also counts L units for each push onto L values
+    res = search_perfect(20, 3, 20_000)
+    assert res.nodes_explored == 2_535
+    assert res.found == [] and not res.exhaustive
 
 
 def test_search_n8_matches_inversion_oracle():
@@ -222,10 +229,10 @@ def test_search_at_size_limit_completes():
         assert res.nodes_explored == (2001 if m == 2 else 0)
     # the largest n <= 512 that admits m = 3 runs the order-3 state
     res = search_perfect(505, 3, budget=2000)
-    assert res.nodes_explored == 2001 and not res.exhaustive
+    assert res.nodes_explored == 64 and not res.exhaustive
     # h(5) = 128 is in reach
     res = search_perfect(h(5), 5, budget=50)
-    assert res.nodes_explored == 51 and not res.exhaustive
+    assert res.nodes_explored == 7 and not res.exhaustive
 
 
 def expected_stop(trace, budget):
@@ -286,21 +293,22 @@ def test_seeded_budgets_stop_like_the_trace_oracle():
 
 
 def test_budget_stops_in_the_mirrored_half_are_pinned():
-    # (9, 3): the root children 5..8 mirror 3..0 and start at node 333561,
-    # so a budget of 333560 stops at the first node of a mirrored child;
-    # the second solution, the complement of the first, is reached at node
-    # 450152 inside the subtree of 6
+    # (9, 3): the root children 5..8 mirror 3..0 and start at node 1651,
+    # whose work is 7753, so a budget of 7752 stops at the first node of a
+    # mirrored child; the second solution, the complement of the first, is
+    # reached at node 2391, of work 11285, inside the subtree of 6
     first = (2, 3, 8, 7, 4, 1, 0, 5, 6)
     second = (6, 5, 0, 1, 4, 7, 8, 3, 2)
-    for budget, found in ((333_560, [first]), (450_152, [first, second])):
-        assert search_stop(9, 3, budget) == (found, budget + 1, False), budget
+    for budget, found, nodes in ((7_752, [first], 1_651),
+                                 (11_285, [first, second], 2_392)):
+        assert search_stop(9, 3, budget) == (found, nodes, False), budget
 
 
 def test_mirrored_subtrees_are_counted_not_searched():
     # the complement maps the subtree of v onto that of n-1-v under the
     # empty prefix and [(n-1)/2], so half of each tree is never pushed
     res, pushes = counted_search(9, 3)
-    assert res.nodes_explored == 597_879 and pushes == 136_725
+    assert res.nodes_explored == 2_965 and pushes == 1_483
     # at m = 2 each (value set, inversion count) state is also pushed once
     res, pushes = counted_search(8, 2)
     assert res.nodes_explored == 99_856 and pushes == 1_392
@@ -346,12 +354,87 @@ def test_order2_table_at_its_cap_stops_like_the_trace_oracle(monkeypatch):
         assert search_stop(8, 2, budget) == expected_stop(t, budget), budget
 
 
-@pytest.mark.parametrize("n, m", [(4, 2), (5, 2), (8, 2), (9, 3)])
+def symmetry_images(images):
+    """The images of a one-line permutation under the 8 maps generated by
+    reversal, complement and inverse: each of the identity and the inverse,
+    then reversed or not, then complemented or not."""
+    n = len(images)
+    out = []
+    for p in (images, Permutation(images).inverse().images):
+        for q in (p, p[::-1]):
+            out += [q, tuple(n - 1 - x for x in q)]
+    return out
+
+
+def test_the_symmetry_maps_are_eight():
+    assert len(set(symmetry_images((0, 2, 3, 1)))) == 8
+
+
+@pytest.mark.parametrize("n, m", [(4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (9, 2), (9, 3)])
 def test_exhaustive_found_is_closed_under_the_symmetry_group(n, m):
-    # perfect m-symmetry is invariant under complement, reverse and inverse
+    # perfect m-symmetry is invariant under complement, reverse and inverse,
+    # which permute the patterns of every order, so each exhaustive found
+    # list is closed under the 8 maps they generate, whatever the node order
     res, _ = counted_search(n, m)
-    assert res.exhaustive and res.found
+    assert res.exhaustive
+    assert bool(res.found) == all(divisibility_D(n, k) for k in range(2, m + 1))
     found = {p.images for p in res.found}
-    assert {tuple(n - 1 - x for x in p) for p in found} == found
-    assert {p[::-1] for p in found} == found
-    assert {Permutation(p).inverse().images for p in found} == found
+    images = [symmetry_images(p) for p in found]
+    for j in range(8):
+        assert {g[j] for g in images} == found, j
+
+
+def expected_work_stop(trace, budget):
+    """(found, nodes_explored, exhaustive) of a search with this budget of
+    work, read off the brute-force trace: it stops at the first node whose
+    work exceeds the budget, with the solutions reached before that node."""
+    stop = next((i for i, w in enumerate(trace.work, 1) if w > budget), None)
+    found = sorted(images for index, images in trace.hits if stop is None or index < stop)
+    return found, stop or trace.total, stop is None
+
+
+def test_order3_budgets_stop_like_the_trace_oracle():
+    # (9, 3) is the only order-3 tree below n = 10 that passes divisibility;
+    # the budgets fall around the work of the first node of each root child,
+    # mirrored or not, and of the node of each solution, and at random
+    t = cached_trace(9, 3)
+    assert t.total == search_perfect(9, 3).nodes_explored
+    marks = [t.work[i - 1] for i in t.root_starts + [index for index, _ in t.hits]]
+    rng = random.Random(22)
+    budgets = ({w + d for w in marks for d in (-1, 0, 1)} | set(range(12))
+               | {rng.randrange(t.work[-1] + 20) for _ in range(40)})
+    for budget in sorted(budgets):
+        assert search_stop(9, 3, budget) == expected_work_stop(t, budget), budget
+    # at m = 2 the work of each node is its index
+    t = cached_trace(8, 2)
+    assert t.work == list(range(1, t.total + 1))
+
+
+def test_fixed_counts_match_the_prune_oracle():
+    # F and G_r of every prefix of seeded permutations, symmetric or not,
+    # and the bounds they put on every final count; the search only meets
+    # them at n = 9, since no other order-3 tree below n = 10 passes
+    # divisibility
+    rng = random.Random(3)
+    for _ in range(100):
+        n = rng.randint(3, 10)
+        m = min(n, 5)
+        images = rng.sample(range(n), n)
+        width, _, steps = layout(n, m)
+        final = {k: brute_profile(Permutation(images), k) for k in range(2, m + 1)}
+        diff, prefix, packed = [0] * (n + 1), [], 0
+        for L in range(n + 1):
+            fixed, classes = fixed_counts(n, prefix, packed, diff)
+            assert classes == brute_first_rank_counts(prefix, n), (images, L)
+            for k in range(2, m + 1):
+                counts = unpack(fixed, width, k)
+                assert counts == brute_fixed_counts(prefix, n, k), (images, L, k)
+                free = math.comb(n, k) - math.comb(L, k) - math.comb(L, k - 1) * (n - L)
+                assert all(f <= v <= f + free for f, v in zip(counts, final[k])), (images, L, k)
+            f, v = unpack(fixed, width, 3), final[3]
+            for r, g in enumerate(classes):
+                assert 0 <= v[2 * r] + v[2 * r + 1] - f[2 * r] - f[2 * r + 1] - g \
+                    <= math.comb(n - L, 3), (images, L, r)
+            if L < n:
+                packed += sum(diff[:images[L] + 1])
+                push(diff, prefix, images[L], steps)
