@@ -153,12 +153,11 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
     def fits(packed: int, diff: list) -> bool:
         """The m >= 3 prunes on the pushed `prefix`: every count of F is at
         most its target, and F_p + F_q + G_r at most 2 t_3."""
-        fixed, classes = fixed_counts(n, prefix, packed, diff)
+        fixed, (g0, g1, g2) = fixed_counts(n, prefix, packed, diff)
         if ((high - fixed) & guards) != guards:
             return False
-        counts = unpack(fixed, width, 3)
-        return all(counts[2 * r] + counts[2 * r + 1] + g <= 2 * targets[3]
-                   for r, g in enumerate(classes))
+        c = unpack(fixed, width, 3)
+        return max(c[0] + c[1] + g0, c[2] + c[3] + g1, c[4] + c[5] + g2) <= 2 * targets[3]
 
     def extend(depth: int, mask: int, packed: int, diff: list, work: int) -> int:
         """Try every unused value after `prefix`, of length `depth`, value
