@@ -10,7 +10,11 @@ go to stderr.  Exit codes: 0 success, 1 usage error, 2 invalid input,
 
 Each handler imports the modules it computes with, so `--version`,
 invdist, search-symmetric and pattern-count at any order but 2 never
-import numpy.
+import numpy.  Nor do analyze-perm and construct on small inputs: D and
+the sampled bound scan Python lists until that work would cost about one
+numpy import (permdisc._LIST_CELLS, one D up to n = 144).  On a 2-core
+x86-64 host analyze-perm at n = 32 then takes 81 ms instead of 216 ms,
+and construct --n 2 --k 4 85 ms instead of 211 ms.
 """
 
 from __future__ import annotations

@@ -176,8 +176,10 @@ def mc_discrepancy_stats(n: int, trials: int, seed: int,
     if workers > 1 and trials * n ** 3 >= POOL_MIN_WORK:
         from concurrent.futures import ProcessPoolExecutor
 
-        # Loaded before the pool starts, so forked workers inherit it and
-        # numpy; workers started by spawn or forkserver import them again.
+        # Loaded before the pool starts, so forked workers inherit them;
+        # workers started by spawn or forkserver import them again.
+        import numpy  # noqa: F401
+
         from . import permdisc  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -76,13 +76,16 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
     keeps its pattern counts of every order k <= m packed in one integer,
     with its `diff` in the layout of patterns.layout, and each child is
     pushed onto its own copy of `diff`.  A prefix is pruned as soon as some
-    count exceeds its target, or can no longer reach it with the
-    C(n,k) - C(L,k) index sets that remain.  Counts only ever grow with the
-    prefix, so the prune is sound.  It is one test on packed integers: with
-    guard + target in each field of `high` and guard - floor in each field
-    of `low[L]`, the guard bit of every field survives in
-    (high - y) & (y + low[L]) exactly when every count of y lies in its
-    [floor, target] window.
+    count exceeds its target.  Counts only ever grow with the prefix, so
+    the prune is sound.  It is one test on packed integers: with guard +
+    target in each field of `high`, the guard bit of every field survives
+    in high - y exactly when every count of y is at most its target.  No
+    floor is tested, because none can decide: the C(n,k) - C(L,k) index
+    sets that remain to a prefix of length L could only leave a count
+    short of its target t_k if it were below t_k - C(n,k) + C(L,k).  But
+    the k! counts of order k sum to C(L,k) and their targets to C(n,k), so
+    once each count is at most t_k, each is at least C(L,k) - (k! - 1) t_k,
+    which is that floor.
 
     At m >= 3 a pushed prefix of length L must also pass two prunes on
     the counts that its value set already fixes (`fixed_counts`).  Every
@@ -140,9 +143,6 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
 
     width, guards, steps = layout(n, m)
     high = guards + pack(width, m, targets.get)
-    # the floors at prefix length L, clamped at zero
-    low = [guards - pack(width, m, lambda k: max(0, targets[k] - comb(n, k) + comb(L, k)))
-           for L in range(n + 1)]
     # the work of a push onto a prefix of length L
     cost = [sum(L if k <= 4 else comb(L, k - 2) for k in range(3, m + 1)) for L in range(n)]
     limit = inf if budget is None else budget
@@ -170,7 +170,6 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
         if m > 2 and not fits(packed, diff):
             return work
         fixed = depth == 0 or depth == 1 and 2 * prefix[0] == n - 1
-        floor = low[depth + 1]
         mirror = {}
         ext = 0
         for v in range(n):
@@ -190,7 +189,7 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
             if work > limit:
                 raise _BudgetExceeded(work - pushed)
             y = packed + ext
-            if ((high - y) & (y + floor) & guards) == guards:
+            if ((high - y) & guards) == guards:
                 key = entry = None
                 if merged is not None:
                     # pushes cost no work at m = 2, so work counts nodes
@@ -220,7 +219,7 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
     finally:
         # extend holds itself in its closure: break the cycle, and free the
         # tables before the solutions are copied
-        del extend, merged, low
+        del extend, merged
     found.sort()
     return SymmetrySearchResult(n, m, [Permutation(p) for p in found], nodes, exhaustive)
 

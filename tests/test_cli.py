@@ -298,16 +298,21 @@ def _loads_numpy(*argv) -> bool:
     ("pattern-count", "--m", "3"),
     ("pattern-count", "--m", "4"),
     ("pattern-count", "--m", "3", "--pattern", "0 2 1"),
+    ("analyze-perm",),
+    ("analyze-perm", "--sample", "20"),
+    ("construct", "--n", "2", "--k", "4"),
 ], ids=" ".join)
 def test_subcommands_without_numeric_work_do_not_import_numpy(tmp_path, argv):
+    # D and the sampled bound at n = 8 and 16 fit the list scan's allowance
     argv = list(argv)
-    if argv[0] == "pattern-count":
+    if argv[0] in ("pattern-count", "analyze-perm"):
         perm = tmp_path / "perm.txt"
         perm.write_text("3 6 0 7 2 5 1 4\n")
         argv[1:1] = ["--perm", str(perm)]
     assert not _loads_numpy(*argv)
 
 
-def test_numeric_subcommand_imports_numpy(perm_file):
-    # the check above can see numpy when it is imported
-    assert _loads_numpy("analyze-perm", "--perm", perm_file)
+def test_numeric_subcommand_imports_numpy(set_file):
+    # the check above can see numpy when it is imported: certify's
+    # spectra are numpy FFTs
+    assert _loads_numpy("certify", "--set", set_file)

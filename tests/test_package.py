@@ -88,6 +88,8 @@ def test_import_is_lazy_and_names_are_cached_on_first_use():
               "assert vars(quasiperm)['profile'] is profile\n"
               "assert 'numpy' not in sys.modules\n"
               "quasiperm.perm_discrepancy\n"
+              "assert 'numpy' not in sys.modules\n"
+              "quasiperm.balance_certificate\n"
               "assert 'numpy' in sys.modules\n")
     proc = run_fresh(script)
     assert proc.returncode == 0, proc.stderr

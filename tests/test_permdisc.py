@@ -8,6 +8,7 @@ from math import comb, exp, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasiperm import permdisc
 from quasiperm.core import CyclicInterval, Permutation
 from quasiperm.permdisc import (
     MAX_DISCREPANCY_SIZE,
@@ -36,6 +37,7 @@ from oracles import (
     brute_restricted_max,
     row_scan_perm_discrepancy,
 )
+from fresh import run_fresh
 
 
 def test_identity_example():
@@ -143,6 +145,66 @@ def test_perm_discrepancy_matches_the_row_scan_oracle():
     for sigma in corpus:
         _assert_reports_equal(perm_discrepancy(sigma),
                               row_scan_perm_discrepancy(sigma))
+
+
+def _scans_agree(sigma):
+    lists = permdisc._report(sigma, permdisc._list_scan)
+    _assert_reports_equal(lists, permdisc._report(sigma, permdisc._array_scan))
+
+
+def test_list_scan_matches_the_array_scan_exhaustive():
+    for n in range(1, 8):
+        for images in itertools.permutations(range(n)):
+            _scans_agree(Permutation(images))
+
+
+def test_list_scan_matches_the_array_scan_up_to_its_allowance():
+    # the largest n whose D fits the allowance in one call
+    top = max(n for n in range(1, 1000)
+              if n * n * (n - 1) // 2 <= permdisc._LIST_CELLS)
+    for n in (8, 13, 31, 32, 47, 64, 97, top):
+        for seed in range(3):
+            _scans_agree(random_permutation(n, 1000 * n + seed))
+    _scans_agree(digit_reversal(2, 7))
+
+
+@pytest.mark.parametrize("samples", [0, 1, 5, 40, 1000])
+def test_list_sampled_bound_matches_the_array_scan(monkeypatch, samples):
+    corpus = [(random_permutation(n, 7 * n + seed), seed)
+              for n in (1, 5, 17, 40) for seed in range(4)]
+    bounds = []
+    for lists in (True, False):
+        monkeypatch.setattr(permdisc, "_lists_pay", lambda cells: lists)
+        bounds.append([sampled_discrepancy_lower_bound(sigma, samples, seed)
+                       for sigma, seed in corpus])
+    assert bounds[0] == bounds[1]
+
+
+def test_list_scan_gives_way_to_numpy_once_its_allowance_is_spent():
+    script = """
+import random
+import sys
+
+from quasiperm import permdisc
+from quasiperm.core import Permutation
+
+n = 64
+calls = permdisc._LIST_CELLS // (n * n * (n - 1) // 2)
+sigmas = []
+for seed in range(calls + 2):
+    images = list(range(n))
+    random.Random(seed).shuffle(images)
+    sigmas.append(Permutation(tuple(images)))
+loaded, reports = [], []
+for sigma in sigmas:
+    reports.append(permdisc.perm_discrepancy(sigma))
+    loaded.append("numpy" in sys.modules)
+assert calls > 1 and loaded == [False] * calls + [True] * 2, loaded
+# numpy is loaded now, so every call takes the array scan
+assert reports == [permdisc.perm_discrepancy(sigma) for sigma in sigmas]
+"""
+    proc = run_fresh(script)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("n", [361, 362, 363])

@@ -99,10 +99,15 @@ def test_search_n4_contains_3012():
 
 
 def test_search_m3_small():
-    res = search_perfect(6, 3)
-    expected = sorted(p for p in itertools.permutations(range(6))
-                      if brute_is_symmetric(p, 3))
-    assert [q.images for q in res.found] == expected
+    # 6 divides no C(n, 3) for n = 3..8, so every order-3 search below
+    # n = 9 returns at the divisibility test, before its first node
+    for n in range(3, 9):
+        assert not divisibility_D(n, 3)
+        res = search_perfect(n, 3)
+        assert (res.found, res.nodes_explored, res.exhaustive) == ([], 0, True)
+        if n in (6, 7):
+            assert not any(brute_is_symmetric(p, 3)
+                           for p in itertools.permutations(range(n)))
 
 
 def test_search_generic_order_agrees():
