@@ -8,12 +8,11 @@ appears only in the Fourier-derived statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .core import CyclicInterval, ModulusMismatchError, ZnSubset
+from .core import CyclicInterval, ModulusMismatchError, Record, ZnSubset
 
 # balance_certificate costs O(n^2 log n): one FFT per interval length
 MAX_CERTIFICATE_SIZE = 4096
@@ -140,8 +139,7 @@ def translation_statistic(s: ZnSubset, j: CyclicInterval) -> float:
     return _translation_sum(np.abs(fourier_spectrum(s))[1:] ** 2, j.length)
 
 
-@dataclass
-class BalanceCertificate:
+class BalanceCertificate(Record):
     """Per-instance epsilon values for the seven balance properties.
 
     Each eps field is the smallest epsilon at which the property's defining
@@ -149,6 +147,9 @@ class BalanceCertificate:
     Integral statistics are exact rationals; Fourier-derived ones floats.
     """
 
+    __slots__ = ("n", "size", "eps_B", "witness_B", "eps_PB", "witness_PB",
+                 "eps_MB", "witness_MB", "eps_E_half", "witness_E_half",
+                 "eps_S", "eps_T", "witness_T_length", "implication_checks")
     n: int
     size: int
     eps_B: Fraction
@@ -162,7 +163,7 @@ class BalanceCertificate:
     eps_S: float
     eps_T: float
     witness_T_length: int
-    implication_checks: dict = field(default_factory=dict)
+    implication_checks: dict
 
 
 def balance_certificate(s: ZnSubset) -> BalanceCertificate:

@@ -10,17 +10,19 @@ go to stderr.  Exit codes: 0 success, 1 usage error, 2 invalid input,
 
 Each handler imports the modules it computes with, so `--version`,
 invdist, search-symmetric and pattern-count at any order but 2 never
-import numpy.  Nor do analyze-perm and construct on small inputs: D and
-the sampled bound scan Python lists until that work would cost about one
-numpy import (permdisc._LIST_CELLS, one D up to n = 144).  On a 2-core
-x86-64 host analyze-perm at n = 32 then takes 81 ms instead of 216 ms,
-and construct --n 2 --k 4 85 ms instead of 211 ms.
+import numpy.  Nor do analyze-perm, construct and random-stats on small
+inputs: D and the sampled bound scan Python lists until that work would
+cost about one numpy import (permdisc._LIST_CELLS, one D up to n = 144),
+and random permutations come from rng.PCG64, numpy's stream in pure
+Python.  No call imports dataclasses or numpy.random.  On a 2-core x86-64
+host with bytecode caching off, analyze-perm at n = 32 takes 61 ms and
+random-stats --n 16 --trials 8 66 ms, against 184 ms for certify, which
+loads numpy, and 40 ms for `python -c pass` (medians of 16 calls).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -359,6 +361,8 @@ def dispatch(argv) -> int:
         return 3
 
     if args.csv:
+        import csv
+
         out = csv.writer(sys.stdout)
         out.writerow(["key", "value"])
         out.writerows(rows)

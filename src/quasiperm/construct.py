@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial
 from operator import sub
-from statistics import median
 from typing import Optional, Sequence
 
-from .core import Permutation
+from .core import Permutation, Record
 
 MAX_PRODUCT_SIZE = 1 << 24
 
@@ -101,29 +99,32 @@ def shift_counterexample(half: int) -> Permutation:
 def random_permutation(n: int, seed: int) -> Permutation:
     """Uniform permutation from a Fisher-Yates shuffle driven by PCG64.
 
-    The generator is fixed by name so identical seeds reproduce identical
-    permutations on every platform.
+    Position i, from n - 1 down to 1, swaps with the draw
+    integers(0, i + 1) of numpy.random.Generator(numpy.random.PCG64(seed)),
+    whose stream rng.PCG64 reproduces in pure Python; tests/test_rng.py
+    checks the two agree.  So identical seeds give identical permutations
+    on every platform, with or without numpy.
     """
     if n < 1:
         raise ValueError("size must be positive")
-    import numpy as np
+    from .rng import PCG64
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = PCG64(seed)
     images = list(range(n))
     for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+        j = rng.integer_below(i + 1)
         images[i], images[j] = images[j], images[i]
-    return Permutation(tuple(images))
+    return Permutation(images)
 
 
-@dataclass(frozen=True)
-class InversionDistribution:
+class InversionDistribution(Record):
     """Exact inversion-count distribution over S_n.
 
     counts[i] is the number of permutations with exactly i inversions: the
     coefficients of the iterated convolution (1)(1+q)...(1+q+...+q^(n-1)).
     """
 
+    __slots__ = ("n", "counts", "mean", "variance")
     n: int
     counts: tuple
     mean: Fraction
@@ -131,22 +132,31 @@ class InversionDistribution:
 
 
 def inversion_distribution(n: int) -> InversionDistribution:
+    """The Mahonian numbers are palindromic, counts[i] = counts[d - i] at
+    degree d = n (n - 1) / 2, so each step keeps only its lower half.
+    Step i multiplies by 1 + q + ... + q^(i-1) = (1 - q^i) / (1 - q) and
+    takes the degree from d to d + i - 1.  The new lower half, up to index
+    (d + i - 1) // 2 <= d, reads the old coefficients only up to that
+    index; those past the old half are its mirror image."""
     if not 1 <= n <= 200:
         raise ValueError("size must be in 1..200")
-    coeffs = [1]
+    half, degree = [1], 0
     for i in range(2, n + 1):
-        # multiply by 1 + q + ... + q^(i-1) = (1 - q^i) / (1 - q)
-        coeffs = list(accumulate(map(sub, coeffs + [0] * (i - 1), [0] * i + coeffs[:-1])))
+        low = (half + half[:(degree + 1) // 2][::-1])[:(degree + i - 1) // 2 + 1]
+        half = list(accumulate(map(sub, low, [0] * i + low)))
+        degree += i - 1
+    coeffs = half + half[:(degree + 1) // 2][::-1]
     total = factorial(n)
     mean = Fraction(sum(i * c for i, c in enumerate(coeffs)), total)
     second = Fraction(sum(i * i * c for i, c in enumerate(coeffs)), total)
     return InversionDistribution(n, tuple(coeffs), mean, second - mean * mean)
 
 
-@dataclass(frozen=True)
-class DiscrepancySample:
+class DiscrepancySample(Record):
     """Exact discrepancies of random permutations, normalized by sqrt(n ln n)."""
 
+    __slots__ = ("n", "trials", "seed", "scaled_values", "ratios",
+                 "median_ratio", "max_ratio")
     n: int
     trials: int
     seed: int
@@ -188,8 +198,10 @@ def mc_discrepancy_stats(n: int, trials: int, seed: int,
         scaled = list(map(_trial_discrepancy, tasks))
     norm = math.sqrt(n * math.log(n)) if n > 1 else 1.0
     ratios = tuple((v / n) / norm for v in scaled)
+    # the middle one or two, as statistics.median averages them
+    mid = sorted(ratios)[(trials - 1) // 2:trials // 2 + 1]
     return DiscrepancySample(n, trials, seed, tuple(scaled), ratios,
-                             float(median(ratios)), max(ratios))
+                             sum(mid) / len(mid), max(ratios))
 
 
 def _trial_discrepancy(args: tuple) -> int:

@@ -7,7 +7,6 @@ this layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -23,6 +22,71 @@ class DegenerateIntervalError(ValueError):
     """Empty or full interval where a proper one is required."""
 
 
+class _DataclassFields:
+    """A record class's fields as dataclasses describes them, made on first
+    use.  dataclasses.replace then works on records, as perfbench's tests
+    need to forge wrong answers.  Only code that has loaded dataclasses
+    looks the attribute up, so the import here loads nothing new."""
+
+    def __get__(self, record, cls):
+        from dataclasses import make_dataclass
+
+        cls.__dataclass_fields__ = make_dataclass(
+            cls.__name__, cls.__slots__).__dataclass_fields__
+        return cls.__dataclass_fields__
+
+
+class Record:
+    """Base of the library's immutable records.  A record names its fields
+    in __slots__, in constructor order, and compares by their values.
+
+    Two records are equal when they are of one class with equal field
+    tuples, and a record's hash is its field tuple's, as a frozen
+    dataclass's is, so sets of records keep their order.  The base
+    __init__ takes the fields by position or keyword; a record that
+    validates defines its own.  Assigning to a record raises
+    AttributeError.  Pickle and copy rebuild a record by calling its class
+    on the field tuple.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if len(args) + len(kwargs) != len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name, value in kwargs.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    __dataclass_fields__ = _DataclassFields()
+
+
 def sym_abs(r: int, n: int) -> int:
     """Absolute value of the representative of r taken from (-n/2, n/2]."""
     if n <= 0:
@@ -31,25 +95,28 @@ def sym_abs(r: int, n: int) -> int:
     return r if 2 * r <= n else n - r
 
 
-@dataclass(frozen=True)
-class CyclicInterval:
+class CyclicInterval(Record):
     """The residues {start, start+1, ..., start+length-1} mod n.
 
     length == 0 is the empty interval, length == n all of Z_n.  Wrapping is
     allowed: CyclicInterval(10, 9, 2) is {9, 0}.
     """
 
+    __slots__ = ("n", "start", "length")
     n: int
     start: int
     length: int
 
-    def __post_init__(self) -> None:
-        if self.n <= 0:
+    def __init__(self, n: int, start: int, length: int) -> None:
+        if n <= 0:
             raise ValueError("modulus must be positive")
-        if not 0 <= self.start < self.n:
-            raise ValueError(f"start {self.start} not a residue mod {self.n}")
-        if not 0 <= self.length <= self.n:
-            raise ValueError(f"length {self.length} outside [0, {self.n}]")
+        if not 0 <= start < n:
+            raise ValueError(f"start {start} not a residue mod {n}")
+        if not 0 <= length <= n:
+            raise ValueError(f"length {length} outside [0, {n}]")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "length", length)
 
     @classmethod
     def empty(cls, n: int) -> "CyclicInterval":
@@ -83,20 +150,22 @@ class CyclicInterval:
         return ZnSubset(self.n, frozenset(self.elements()))
 
 
-@dataclass(frozen=True)
-class ZnSubset:
+class ZnSubset(Record):
     """A subset of Z_n, stored as a frozenset of residues."""
 
+    __slots__ = ("n", "members")
     n: int
     members: frozenset
 
-    def __post_init__(self) -> None:
-        if self.n <= 0:
+    def __init__(self, n: int, members: Iterable[int]) -> None:
+        if n <= 0:
             raise ValueError("modulus must be positive")
-        object.__setattr__(self, "members", frozenset(self.members))
-        for x in self.members:
-            if not 0 <= x < self.n:
-                raise ValueError(f"element {x} not a residue mod {self.n}")
+        members = frozenset(members)
+        for x in members:
+            if not 0 <= x < n:
+                raise ValueError(f"element {x} not a residue mod {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def from_elements(cls, n: int, elements: Iterable[int]) -> "ZnSubset":
@@ -130,24 +199,25 @@ class ZnSubset:
         return ind
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """A permutation of Z_n in one-line notation: images[i] = sigma(i)."""
 
+    __slots__ = ("images",)
     images: tuple
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
-        n = len(self.images)
+    def __init__(self, images: Iterable[int]) -> None:
+        images = tuple(images)
+        n = len(images)
         if n == 0:
             raise ValueError("permutation must be nonempty")
         seen = [False] * n
-        for i, v in enumerate(self.images):
+        for i, v in enumerate(images):
             if not 0 <= v < n:
                 raise ValueError(f"image {v} at index {i} outside [0, {n})")
             if seen[v]:
                 raise ValueError(f"duplicate image {v} at index {i}")
             seen[v] = True
+        object.__setattr__(self, "images", images)
 
     @property
     def n(self) -> int:
@@ -258,8 +328,8 @@ def components(s: ZnSubset) -> tuple:
     return len(parts), parts
 
 
-@dataclass(frozen=True)
-class IntervalFlags:
+class IntervalFlags(Record):
+    __slots__ = ("contiguous", "terminal", "initial", "final")
     contiguous: bool
     terminal: bool
     initial: bool

@@ -8,14 +8,13 @@ counts are exact integers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
-from .core import Permutation
+from .core import Permutation, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -93,10 +92,10 @@ def count_pattern(sigma: Permutation, tau: Permutation) -> int:
     return profile(sigma, tau.n).counts[pattern_index(tau.images)]
 
 
-@dataclass(frozen=True)
-class ProfileVector:
+class ProfileVector(Record):
     """Occurrence counts of every order-m pattern, lexicographically indexed."""
 
+    __slots__ = ("m", "n", "counts")
     m: int
     n: int
     counts: tuple
@@ -286,10 +285,10 @@ def unpack(packed: int, width: int, k: int) -> tuple:
     return tuple((packed >> (width * (first + i))) & mask for i in range(factorial(k)))
 
 
-@dataclass(frozen=True)
-class PatternMatrix:
+class PatternMatrix(Record):
     """The m! x (m+1)! occurrence-count matrix B and its Gram matrix A = B^T B."""
 
+    __slots__ = ("m", "B", "A")
     m: int
     B: np.ndarray
     A: np.ndarray
@@ -314,12 +313,15 @@ def build_pattern_matrices(m: int) -> PatternMatrix:
 
 def top_eigenvalue(a) -> float:
     """Largest eigenvalue of a symmetric nonnegative matrix by power
-    iteration with a Rayleigh quotient."""
+    iteration with a Rayleigh quotient, from the start vector
+    numpy.random.default_rng(12345).random(k) + 1."""
     import numpy as np
 
+    from .rng import PCG64
+
     a = np.asarray(a, dtype=np.float64)
-    rng = np.random.default_rng(12345)
-    v = rng.random(a.shape[0]) + 1.0
+    rng = PCG64(12345)
+    v = np.array([rng.random() for _ in range(a.shape[0])]) + 1.0
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(POWER_MAX_ITER):

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from operator import add, sub
@@ -50,9 +49,9 @@ from .core import (
     CyclicInterval,
     ModulusMismatchError,
     Permutation,
+    Record,
     image_of_interval,
 )
-from .patterns import count_pattern, standardize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,10 +73,11 @@ _LIST_CELLS = 1_500_000
 _list_cells_left = _LIST_CELLS
 
 
-@dataclass(frozen=True)
-class PermDiscrepancyReport:
+class PermDiscrepancyReport(Record):
     """n-scaled discrepancy maxima with the intervals attaining them."""
 
+    __slots__ = ("n", "scaled_D", "witness_I", "witness_J", "scaled_d",
+                 "witness_d", "scaled_d_prime", "witness_d_prime")
     n: int
     scaled_D: int
     witness_I: CyclicInterval
@@ -309,6 +309,8 @@ def _count_in(values: list, tau: Permutation) -> int:
     """Occurrences of tau in the one-line sequence `values`."""
     if len(values) < tau.n:
         return 0
+    from .patterns import count_pattern, standardize
+
     return count_pattern(Permutation(standardize(values)), tau)
 
 

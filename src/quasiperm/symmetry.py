@@ -7,11 +7,10 @@ so m'! must divide C(n,m') for every such m'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial, inf
 from typing import Optional
 
-from .core import Permutation
+from .core import Permutation, Record
 from .patterns import layout, pack, profile, push, unpack
 
 EXHAUSTIVE_SIZE_LIMIT = 10
@@ -59,8 +58,8 @@ def is_perfect_m_symmetric(sigma: Permutation, m: int) -> bool:
     return all(c == target for c in profile(sigma, m).counts)
 
 
-@dataclass
-class SymmetrySearchResult:
+class SymmetrySearchResult(Record):
+    __slots__ = ("n", "m", "found", "nodes_explored", "exhaustive")
     n: int
     m: int
     found: list

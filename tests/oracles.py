@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import sub
 from typing import NamedTuple
 
 import numpy as np
@@ -248,6 +249,27 @@ def brute_fourier(s: ZnSubset, k: int) -> complex:
     return sum(complex(math.cos(-2 * math.pi * k * x / s.n),
                        math.sin(-2 * math.pi * k * x / s.n))
                for x in s.members)
+
+
+def mahonian_rows(n_max: int):
+    """The inversion counts over S_n for n = 1..n_max, in turn, each whole:
+    step i multiplies by 1 + q + ... + q^(i-1) = (1 - q^i) / (1 - q)."""
+    coeffs = [1]
+    yield coeffs
+    for i in range(2, n_max + 1):
+        coeffs = list(itertools.accumulate(map(sub, coeffs + [0] * (i - 1), [0] * i + coeffs[:-1])))
+        yield coeffs
+
+
+def numpy_random_permutation(n: int, seed: int) -> Permutation:
+    """The Fisher-Yates shuffle of random_permutation, drawing from
+    numpy's own Generator(PCG64(seed))."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    images = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        images[i], images[j] = images[j], images[i]
+    return Permutation(tuple(images))
 
 
 def brute_inversions(images) -> int:

@@ -278,18 +278,24 @@ def test_random_stats_threads_below_one_is_invalid_input(capsys, threads):
     assert f"threads must be at least 1, got {threads}" in captured.err
 
 
-def _loads_numpy(*argv) -> bool:
-    """Run one CLI call in a fresh interpreter; report whether numpy got imported."""
+# modules a CLI call loads only if it needs them: numpy for array work,
+# numpy.random never, since the library draws from its own PCG64 stream,
+# and dataclasses with the inspect it pulls in never
+WATCHED = ("numpy", "numpy.random", "dataclasses", "inspect")
+
+
+def _loads(*argv) -> set:
+    """Run one CLI call in a fresh interpreter; report which WATCHED modules it loaded."""
     script = ("import contextlib, io, sys\n"
               "from quasiperm.cli import dispatch\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    code = dispatch(sys.argv[1:])\n"
-              "print(code, 'numpy' in sys.modules)")
+              f"print(code, *[m for m in {WATCHED!r} if m in sys.modules])")
     proc = run_fresh(script, *argv)
     assert proc.returncode == 0, proc.stderr
-    code, loaded = proc.stdout.split()
+    code, *loaded = proc.stdout.split()
     assert code == "0", proc.stderr
-    return loaded == "True"
+    return set(loaded)
 
 
 @pytest.mark.parametrize("argv", [
@@ -301,6 +307,7 @@ def _loads_numpy(*argv) -> bool:
     ("analyze-perm",),
     ("analyze-perm", "--sample", "20"),
     ("construct", "--n", "2", "--k", "4"),
+    ("random-stats", "--n", "16", "--trials", "8", "--threads", "2"),
 ], ids=" ".join)
 def test_subcommands_without_numeric_work_do_not_import_numpy(tmp_path, argv):
     # D and the sampled bound at n = 8 and 16 fit the list scan's allowance
@@ -309,10 +316,15 @@ def test_subcommands_without_numeric_work_do_not_import_numpy(tmp_path, argv):
         perm = tmp_path / "perm.txt"
         perm.write_text("3 6 0 7 2 5 1 4\n")
         argv[1:1] = ["--perm", str(perm)]
-    assert not _loads_numpy(*argv)
+    assert _loads(*argv) == set()
+
+
+def test_matrix_imports_numpy_but_not_numpy_random():
+    loaded = _loads("matrix", "--m", "3")
+    assert "numpy" in loaded and "numpy.random" not in loaded
 
 
 def test_numeric_subcommand_imports_numpy(set_file):
     # the check above can see numpy when it is imported: certify's
     # spectra are numpy FFTs
-    assert _loads_numpy("certify", "--set", set_file)
+    assert "numpy" in _loads("certify", "--set", set_file)

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from quasiperm.patterns import count_pattern
 from quasiperm.permdisc import perm_discrepancy, restricted_discrepancies
 
 from fresh import run_fresh
-from oracles import brute_inversions
+from oracles import brute_inversions, mahonian_rows
 
 
 def test_tensor_block_structure():
@@ -144,6 +145,12 @@ def test_inversion_distribution_small_exact():
         assert inversion_distribution(n).counts == tuple(counts)
 
 
+def test_inversion_distribution_halves_equal_the_full_recurrence():
+    # the mirrored lower half changes with the parity of each step's degree
+    for n, counts in enumerate(mahonian_rows(200), start=1):
+        assert inversion_distribution(n).counts == tuple(counts), n
+
+
 def test_inversion_distribution_moments():
     for n in (5, 12, 30, 120, 200):
         dist = inversion_distribution(n)
@@ -169,6 +176,13 @@ def test_mc_discrepancy_stats_reproducible_and_thread_invariant(monkeypatch):
     assert len(a.scaled_values) == 6
     for scaled, ratio in zip(a.scaled_values, a.ratios):
         assert ratio == pytest.approx((scaled / 12) / math.sqrt(12 * math.log(12)))
+
+
+def test_mc_median_ratio_is_the_statistics_median():
+    for trials in range(1, 9):
+        sample = mc_discrepancy_stats(24, trials, seed=11)
+        assert sample.median_ratio == statistics.median(sample.ratios)
+    assert len(set(sample.ratios)) > 2
 
 
 @pytest.fixture
