@@ -174,8 +174,12 @@ def mc_discrepancy_stats(n: int, trials: int, seed: int,
     depend on where the trials run.  threads caps the worker processes at
     min(threads, trials, cores), and None means every core.  A process pool
     is started only when that cap exceeds 1 and trials * n**3 reaches
-    POOL_MIN_WORK; otherwise the trials run in this process.
+    POOL_MIN_WORK; otherwise the trials run in this process.  A size that
+    D cannot take is refused before anything is drawn.
     """
+    from . import permdisc
+
+    permdisc._check_size(n)
     if trials < 1:
         raise ValueError("need at least one trial")
     if threads is not None and threads < 1:
@@ -186,11 +190,9 @@ def mc_discrepancy_stats(n: int, trials: int, seed: int,
     if workers > 1 and trials * n ** 3 >= POOL_MIN_WORK:
         from concurrent.futures import ProcessPoolExecutor
 
-        # Loaded before the pool starts, so forked workers inherit them;
-        # workers started by spawn or forkserver import them again.
+        # Loaded before the pool starts, as permdisc is, so forked workers
+        # inherit both; workers started by spawn or forkserver import them again.
         import numpy  # noqa: F401
-
-        from . import permdisc  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             scaled = list(pool.map(_trial_discrepancy, tasks))

@@ -294,20 +294,26 @@ class PatternMatrix(Record):
     A: np.ndarray
 
 
-def build_pattern_matrices(m: int) -> PatternMatrix:
-    """Exact integer B_m (entry = count of row pattern in column pattern)."""
+@lru_cache(maxsize=None)
+def _rows_of_B(m: int) -> tuple:
+    """B_m as integer rows, built once per order: each value d of the j-th
+    (m+1)-pattern tau adds 1 in column j at the row of tau without d."""
     if not 1 <= m <= MAX_MATRIX_ORDER:
         raise ValueError(f"order {m} outside supported range 1..{MAX_MATRIX_ORDER}")
+    rows = [[0] * factorial(m + 1) for _ in range(factorial(m))]
+    for j, tau in enumerate(itertools.permutations(range(m + 1))):
+        for d in tau:
+            rows[pattern_index([t - (t > d) for t in tau if t != d])][j] += 1
+    return tuple(map(tuple, rows))
+
+
+def build_pattern_matrices(m: int) -> PatternMatrix:
+    """Exact integer B_m (entry = count of row pattern in column pattern),
+    in fresh arrays on every call."""
+    rows = _rows_of_B(m)
     import numpy as np
 
-    rows = list(itertools.permutations(range(m)))
-    cols = list(itertools.permutations(range(m + 1)))
-    row_index = {p: i for i, p in enumerate(rows)}
-    b = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    subsets = list(itertools.combinations(range(m + 1), m))
-    for j, tau_p in enumerate(cols):
-        for a in subsets:
-            b[row_index[standardize([tau_p[x] for x in a])], j] += 1
+    b = np.array(rows, dtype=np.int64)
     return PatternMatrix(m, b, b.T @ b)
 
 
@@ -339,7 +345,7 @@ def top_eigenvalue(a) -> float:
 
 def rank_of_B(m: int) -> int:
     """Exact rank of B_m by fraction-free elimination over the integers."""
-    b = [[int(x) for x in row] for row in build_pattern_matrices(m).B]
+    b = list(_rows_of_B(m))
     rows = len(b)
     rank = 0
     for col in range(len(b[0])):
@@ -349,10 +355,8 @@ def rank_of_B(m: int) -> int:
         b[rank], b[pivot] = b[pivot], b[rank]
         for i in range(rank + 1, rows):
             if b[i][col]:
-                factor_i = b[i][col]
-                factor_r = b[rank][col]
-                b[i] = [factor_r * x - factor_i * y
-                        for x, y in zip(b[i], b[rank])]
+                factor_i, factor_r = b[i][col], b[rank][col]
+                b[i] = [factor_r * x - factor_i * y for x, y in zip(b[i], b[rank])]
         rank += 1
     return rank
 
@@ -365,16 +369,15 @@ def circ(tau: Permutation) -> Permutation:
 def occurrence_graph_connected(m: int) -> bool:
     """Connectivity of the bipartite graph on S_m and S_{m+1} whose edges
     join a pattern to the longer patterns containing it."""
-    import numpy as np
-
-    adj = build_pattern_matrices(m).B > 0
-    rows = np.arange(adj.shape[0]) == 0
-    while True:
-        cols = adj[rows].any(axis=0)
-        grown = rows | adj[:, cols].any(axis=1)
-        if (grown == rows).all():
-            return bool(rows.all() and cols.all())
-        rows = grown
+    # a search over the nonzeros of B: side 0 holds the rows, side 1 the columns
+    lines = (_rows_of_B(m), tuple(zip(*_rows_of_B(m))))
+    seen, stack = (set(), set()), [(0, 0)]
+    while stack:
+        side, i = stack.pop()
+        if i not in seen[side]:
+            seen[side].add(i)
+            stack += ((1 - side, j) for j in itertools.compress(itertools.count(), lines[side][i]))
+    return all(len(s) == len(ls) for s, ls in zip(seen, lines))
 
 
 def lex_first_container(tau: Permutation) -> Permutation:

@@ -208,6 +208,20 @@ def brute_profile(sigma: Permutation, m: int) -> tuple:
     return tuple(counts.values())
 
 
+def brute_B(m: int) -> tuple:
+    """B_m as integer rows: the entry of order-m pattern p (row, in
+    lexicographic order) and order-(m+1) pattern tau (column, likewise)
+    counts the m-subsets of tau's positions that standardize to p."""
+    rows = list(itertools.permutations(range(m)))
+    cols = list(itertools.permutations(range(m + 1)))
+    row_index = {p: i for i, p in enumerate(rows)}
+    b = [[0] * len(cols) for _ in rows]
+    for j, tau in enumerate(cols):
+        for a in itertools.combinations(range(m + 1), m):
+            b[row_index[standardize([tau[x] for x in a])]][j] += 1
+    return tuple(map(tuple, b))
+
+
 def brute_translation(s: ZnSubset, j: CyclicInterval) -> float:
     """Sum over shifts a of (|S∩(J+a)| - |S||J|/n)^2."""
     n = s.n

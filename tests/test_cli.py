@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from quasiperm.balance import MAX_CERTIFICATE_SIZE
-from quasiperm import cli
+from quasiperm import cli, patterns
 from quasiperm.cli import _encode, dispatch
 from quasiperm.core import MAX_SET_MODULUS, CyclicInterval, Permutation
 from quasiperm.patterns import MAX_PROFILE_STEPS
@@ -134,9 +134,12 @@ def test_matrix_example(capsys):
 
 
 def test_matrix_reports_rank_at_the_largest_order(capsys):
+    # one build of B_5 serves B, A, connectivity and the rank
+    patterns._rows_of_B.cache_clear()
     r = run_json(capsys, "matrix", "--m", "5")["results"]
     assert r["rank_B"] == math.factorial(5)
     assert len(r["B"]) == 120 and len(r["B"][0]) == 720
+    assert patterns._rows_of_B.cache_info().misses == 1
 
 
 def test_pattern_count(capsys, perm_file):
@@ -202,6 +205,12 @@ def test_search_symmetric(capsys):
     r = run_json(capsys, "search-symmetric", "--n", "4", "--m", "2")["results"]
     assert "3 0 1 2" in r["found"]
     assert r["exhaustive"] is True
+
+
+def test_search_symmetric_reports_the_exhaustive_n9_m2_search(capsys):
+    # every permutation of size 9 with C(9,2)/2 = 18 inversions
+    r = run_json(capsys, "search-symmetric", "--n", "9", "--m", "2")["results"]
+    assert (r["nodes_explored"], r["exhaustive"], len(r["found"])) == (882_693, True, 29_228)
 
 
 def test_search_symmetric_bad_size_or_budget_is_invalid_input(capsys):
@@ -278,6 +287,15 @@ def test_random_stats_threads_below_one_is_invalid_input(capsys, threads):
     assert f"threads must be at least 1, got {threads}" in captured.err
 
 
+def test_random_stats_size_beyond_the_limit_is_invalid_input(capsys):
+    # refused before any draw, also past the range of a C index
+    assert dispatch(["random-stats", "--n", str(10 ** 30), "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "exceeds the discrepancy limit" in captured.err
+
+
 # modules a CLI call loads only if it needs them: numpy for array work,
 # numpy.random never, since the library draws from its own PCG64 stream,
 # and dataclasses with the inspect it pulls in never
@@ -289,7 +307,10 @@ def _loads(*argv) -> set:
     script = ("import contextlib, io, sys\n"
               "from quasiperm.cli import dispatch\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    code = dispatch(sys.argv[1:])\n"
+              "    try:\n"
+              "        code = dispatch(sys.argv[1:])\n"
+              "    except SystemExit as exc:  # --version exits from argparse\n"
+              "        code = exc.code\n"
               f"print(code, *[m for m in {WATCHED!r} if m in sys.modules])")
     proc = run_fresh(script, *argv)
     assert proc.returncode == 0, proc.stderr
@@ -299,6 +320,7 @@ def _loads(*argv) -> set:
 
 
 @pytest.mark.parametrize("argv", [
+    ("--version",),
     ("invdist", "--n", "30"),
     ("search-symmetric", "--n", "5", "--m", "2"),
     ("pattern-count", "--m", "3"),

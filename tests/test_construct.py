@@ -3,6 +3,7 @@ import math
 import os
 import random
 import statistics
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -218,6 +219,19 @@ def test_mc_discrepancy_stats_caps_the_worker_count(monkeypatch, serial_pool):
     assert capped == mc_discrepancy_stats(12, 2, seed=5, threads=1)
     mc_discrepancy_stats(12, 6, seed=5, threads=None)
     assert serial_pool == [2, 4]
+
+
+def test_mc_discrepancy_stats_size_limit_raises_before_drawing():
+    # a size D cannot take is refused before the first permutation of that
+    # size, about 45 bytes per element, is drawn
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the discrepancy limit"):
+            mc_discrepancy_stats(2 * 10 ** 5, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("threads", [0, -1])

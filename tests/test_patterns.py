@@ -3,7 +3,6 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +29,8 @@ from quasiperm.patterns import (
 )
 from quasiperm.construct import random_permutation
 
-from oracles import brute_count_pattern, brute_profile, count_pattern_enumerated
+from fresh import run_fresh
+from oracles import brute_B, brute_count_pattern, brute_profile, count_pattern_enumerated
 
 
 def test_patterns_of_order_is_lex_sorted():
@@ -162,6 +162,27 @@ def test_transfer_identity(sigma, m):
     assert ((n - m) * vm == b @ vm1).all()
 
 
+def test_rows_of_B_match_the_subset_oracle():
+    for m in range(1, 6):
+        assert patterns._rows_of_B(m) == brute_B(m), m
+
+
+def test_build_pattern_matrices_returns_fresh_arrays():
+    first, second = build_pattern_matrices(4).B, build_pattern_matrices(4).B
+    assert first is not second
+    first[:] = -1
+    assert build_pattern_matrices(4).B.tolist() == [list(row) for row in brute_B(4)]
+
+
+def test_rank_and_connectivity_do_not_import_numpy():
+    script = ("import sys\n"
+              "from quasiperm.patterns import occurrence_graph_connected, rank_of_B\n"
+              "assert rank_of_B(4) == 24 and occurrence_graph_connected(4)\n"
+              "sys.exit('numpy' in sys.modules)")
+    proc = run_fresh(script)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_matrix_example_m1():
     mats = build_pattern_matrices(1)
     assert mats.B.tolist() == [[2, 2]]
@@ -193,8 +214,7 @@ def test_occurrence_graph_connected():
 
 
 def _use_matrix(monkeypatch, rows):
-    monkeypatch.setattr(patterns, "build_pattern_matrices",
-                        lambda m: SimpleNamespace(B=np.array(rows)))
+    monkeypatch.setattr(patterns, "_rows_of_B", lambda m: tuple(map(tuple, rows)))
 
 
 @pytest.mark.parametrize("rows", [[[1, 1, 0, 0], [0, 0, 1, 1]],
