@@ -14,10 +14,7 @@ import numpy.  Nor do analyze-perm, construct and random-stats on small
 inputs: D and the sampled bound scan Python lists until that work would
 cost about one numpy import (permdisc._LIST_CELLS, one D up to n = 144),
 and random permutations come from rng.PCG64, numpy's stream in pure
-Python.  No call imports dataclasses or numpy.random.  On a 2-core x86-64
-host with bytecode caching off, analyze-perm at n = 32 takes 61 ms and
-random-stats --n 16 --trials 8 66 ms, against 184 ms for certify, which
-loads numpy, and 40 ms for `python -c pass` (medians of 16 calls).
+Python.  No call imports dataclasses or numpy.random.
 """
 
 from __future__ import annotations
@@ -130,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--budget", type=int, default=None,
-                   help="work budget: one unit per node plus the occurrence "
-                        "steps of each push at orders 3..m, so nodes at m = 2; "
+                   help="work budget: one unit per node plus the "
+                        "patterns.push_work of each push, so nodes at m = 2; "
                         "required for n above 10")
 
     p = add("certify", cmd_certify,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from math import factorial
 from operator import sub
@@ -19,45 +20,45 @@ from .core import Permutation, Record
 
 MAX_PRODUCT_SIZE = 1 << 24
 
-# Least trials * n**3 at which mc_discrepancy_stats starts a process pool.
-# Below it, starting the workers and shipping the trials to them cost more
-# than the second core saves: on a 2-core x86-64 machine the pool lost at
-# every measured (n, trials) below 1e7 and won at nearly every one from 5e7.
-POOL_MIN_WORK = 5 * 10 ** 7
+# Least trials * permdisc.discrepancy_cells(n) at which mc_discrepancy_stats
+# starts a process pool.  Below it, starting the workers and shipping the
+# trials cost more than the second core saves: on a 2-core x86-64 machine the
+# pool lost below 5e6 cells and won at nearly every measured size from 2.5e7.
+POOL_MIN_WORK = 25 * 10 ** 6
 
 
 class ProductOverflowError(ValueError):
     """The product size exceeds the supported range."""
 
 
-def _check_product_size(size: int) -> None:
-    if size > MAX_PRODUCT_SIZE:
-        raise ProductOverflowError(f"product size {size} too large")
-
-
 def tensor(sigma: Permutation, tau: Permutation) -> Permutation:
     """Block product: x -> tau(x div n) + m * sigma(x mod n)."""
     n, m = sigma.n, tau.n
-    _check_product_size(n * m)
-    images = [tau.images[x // n] + m * sigma.images[x % n] for x in range(n * m)]
-    return Permutation(tuple(images))
+    if n * m > MAX_PRODUCT_SIZE:
+        raise ProductOverflowError(f"product size {n * m} too large")
+    return Permutation([tau.images[x // n] + m * sigma.images[x % n] for x in range(n * m)])
+
+
+def _check_power_size(base: int, factors: int) -> None:
+    # base >= 2^(bits - 1): bit lengths refuse before a power is taken
+    if ((base.bit_length() - 1) * factors >= MAX_PRODUCT_SIZE.bit_length()
+            or base ** factors > MAX_PRODUCT_SIZE):
+        raise ProductOverflowError(f"{factors}-fold product of size {base} exceeds the "
+                                   f"product size limit {MAX_PRODUCT_SIZE}")
 
 
 def tensor_power(sigma: Permutation, k: int) -> Permutation:
     """k-fold block product of sigma with itself (left fold; associative)."""
     if k < 1:
         raise ValueError("power must be >= 1")
-    _check_product_size(sigma.n ** k)
+    _check_power_size(sigma.n, k)
     return tensor_product([sigma] * k)
 
 
 def tensor_product(factors: Sequence[Permutation]) -> Permutation:
     if not factors:
         raise ValueError("need at least one factor")
-    result = factors[0]
-    for f in factors[1:]:
-        result = tensor(result, f)
-    return result
+    return reduce(tensor, factors)
 
 
 def digit_reversal(base: int, digits: int) -> Permutation:
@@ -65,7 +66,7 @@ def digit_reversal(base: int, digits: int) -> Permutation:
     digits-fold block product of the identity on Z_base."""
     if base < 2 or digits < 1:
         raise ValueError("need base >= 2 and digits >= 1")
-    _check_product_size(base ** digits)  # before the identity is built
+    _check_power_size(base, digits)  # before the identity is built
     return tensor_power(Permutation.identity(base), digits)
 
 
@@ -74,11 +75,9 @@ def product_bound(sizes: Sequence[int]) -> int:
     k-fold block product with the given factor sizes."""
     if not sizes:
         raise ValueError("need at least one size")
-    for s in sizes:
-        if s < 2:
-            raise ValueError("factor sizes must be >= 2")
-    k = len(sizes)
-    return sizes[-1] + 2 * sum(sizes[:-1]) - 2 * k + 1
+    if min(sizes) < 2:
+        raise ValueError("factor sizes must be >= 2")
+    return sizes[-1] + 2 * sum(sizes[:-1]) - 2 * len(sizes) + 1
 
 
 def schmidt_floor(n: int) -> float:
@@ -173,9 +172,9 @@ def mc_discrepancy_stats(n: int, trials: int, seed: int,
     Trial t draws its permutation from seed ^ t, so the result does not
     depend on where the trials run.  threads caps the worker processes at
     min(threads, trials, cores), and None means every core.  A process pool
-    is started only when that cap exceeds 1 and trials * n**3 reaches
-    POOL_MIN_WORK; otherwise the trials run in this process.  A size that
-    D cannot take is refused before anything is drawn.
+    is started only when that cap exceeds 1 and trials * discrepancy_cells(n)
+    of permdisc reaches POOL_MIN_WORK; otherwise the trials run in this
+    process.  A size that D cannot take is refused before anything is drawn.
     """
     from . import permdisc
 
@@ -187,7 +186,7 @@ def mc_discrepancy_stats(n: int, trials: int, seed: int,
     cores = os.cpu_count() or 1
     workers = min(cores if threads is None else threads, trials, cores)
     tasks = [(n, seed ^ t) for t in range(trials)]
-    if workers > 1 and trials * n ** 3 >= POOL_MIN_WORK:
+    if workers > 1 and trials * permdisc.discrepancy_cells(n) >= POOL_MIN_WORK:
         from concurrent.futures import ProcessPoolExecutor
 
         # Loaded before the pool starts, as permdisc is, so forked workers

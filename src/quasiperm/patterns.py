@@ -113,11 +113,8 @@ def profile(sigma: Permutation, m: int) -> ProfileVector:
     """Counts for all m! patterns, lexicographically indexed.
 
     Order 2 counts inversions.  Orders m >= 3 push sigma's values one by
-    one onto the packed counts of `layout`: O(n^2) steps for orders 2..4,
-    plus the C(n, m-1) occurrences that orders 5 and 6 enumerate.
-    C(n, m-1) must not exceed MAX_PROFILE_STEPS; at orders 3 and 4 that
-    is a rule on the size only, not a count of steps.
-    """
+    one onto the packed counts of `layout`, if the push_work of the n
+    pushes is at most MAX_PROFILE_STEPS."""
     n = sigma.n
     if m < 0:
         raise ValueError(f"order {m} is negative")
@@ -130,10 +127,11 @@ def profile(sigma: Permutation, m: int) -> ProfileVector:
     if m == 2:
         inv = _inversions(sigma.images)
         return ProfileVector(m, n, (comb(n, 2) - inv, inv))
-    if comb(n, m - 1) > MAX_PROFILE_STEPS:
-        rule = "occurrences enumerated" if m > 4 else "a size rule at orders 3 and 4"
-        raise ValueError(f"order-{m} profile of size {n}: C({n},{m - 1}) is beyond the limit "
-                         f"{MAX_PROFILE_STEPS} ({rule})")
+    # push_work summed over the lengths L < n, as sum(C(L, j)) = C(n, j + 1)
+    work = sum(comb(n, 2) if k <= 4 else comb(n, k - 1) for k in range(3, m + 1))
+    if work > MAX_PROFILE_STEPS:
+        raise ValueError(f"order-{m} profile of size {n} takes {work} push steps, "
+                         f"beyond the limit {MAX_PROFILE_STEPS}")
     width, _, steps = layout(n, m)
     diff, prefix, packed = [0] * (n + 1), [], 0
     for a in sigma.images:
@@ -213,9 +211,15 @@ def layout(n: int, m: int) -> tuple:
     return (width,) + _step_tables(width, m)
 
 
+def push_work(length: int, m: int) -> int:
+    """Occurrence steps of one `push` at orders 3..m onto a prefix of this
+    length: the length at orders 3 and 4, C(length, k-2) at order k >= 5."""
+    return sum(length if k <= 4 else comb(length, k - 2) for k in range(3, m + 1))
+
+
 def push(diff: list, prefix: list, a: int, steps: tuple) -> None:
     """Append the unused value a to prefix, updating its `diff` in place
-    with the steps of every occurrence that ends at a.
+    with the steps of every occurrence that ends at a, push_work in all.
 
     Orders 2..4 take O(L) steps: the singleton (a), the pairs (x, a) by
     whether x < a, and per x the triples ending at a by class of partner,

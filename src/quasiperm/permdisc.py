@@ -17,16 +17,16 @@ n * max_J D_J(sigma(I)) for both, and its first maximum and first minimum
 give the J.  So D is the largest range over the row pairs (a, b).
 
 D and the sampled bound have two scans of the same table, with the same
-answers and witnesses.  A cell is one row pair and one column: n^2 (n - 1)
-/ 2 per D and n^2 per sampled start, plus n^2 for the rows.  The list scan keeps q as n Python
-lists and costs 70-115 ns a cell; the array scan keeps q in numpy, which
-costs loading numpy (about 130 ms in a fresh process) and then 1-5 ns a
-cell.  So a process scans on lists while numpy is not loaded and its list
-cells, this call's included, stay within _LIST_CELLS, about one load's
-worth; any other call loads numpy and takes the array scan.  That is
-rent-or-buy (Karlin, Manasse, Rudolph & Sleator 1988): a process never
-pays much more than twice the better of the two.  Only the time differs,
-never the answer.
+answers and witnesses.  A cell is one row pair and one column, so D
+takes discrepancy_cells(n) and the sampled bound n^2 per start, plus n^2
+for the rows.  The list scan keeps q as n Python lists and costs 70-115
+ns a cell; the array scan keeps q in numpy, which costs loading numpy
+(about 130 ms in a fresh process) and then 1-5 ns a cell.  So a process
+scans on lists while numpy is not loaded and its list cells, this call's
+included, stay within _LIST_CELLS, about one load's worth; any other call
+loads numpy and takes the array scan.  That is rent-or-buy (Karlin,
+Manasse, Rudolph & Sleator 1988): a process never pays much more than
+twice the better of the two.  Only the time differs, never the answer.
 
 Every entry of q and every row difference is n * c - L * (j + 1) with
 max(0, L + j + 1 - n) <= c <= min(L, j + 1), so |q| <= n^2 / 4.  The
@@ -104,6 +104,11 @@ def _lists_pay(cells: int) -> bool:
         return False
     _list_cells_left -= cells
     return True
+
+
+def discrepancy_cells(n: int) -> int:
+    """Cells of one D scan at size n: n columns for each row pair a < b."""
+    return n * n * (n - 1) // 2
 
 
 def _check_size(n: int) -> None:
@@ -260,8 +265,7 @@ def perm_discrepancy(sigma: Permutation) -> PermDiscrepancyReport:
     shortest witnesses of d and d'.  The scan is on lists or arrays, as
     the module docstring says.
     """
-    n = sigma.n
-    return _report(sigma, _list_scan if _lists_pay(n * n * (n - 1) // 2)
+    return _report(sigma, _list_scan if _lists_pay(discrepancy_cells(sigma.n))
                    else _array_scan)
 
 
@@ -365,8 +369,7 @@ def sampled_discrepancy_lower_bound(sigma: Permutation, samples: int,
     if not starts:
         return 0
     # making the rows twice costs about one more start
-    cells = (len(starts) + 1) * n * n
-    scan = _list_sampled if _lists_pay(cells) else _array_sampled
+    scan = _list_sampled if _lists_pay((len(starts) + 1) * n * n) else _array_sampled
     return scan(sigma, starts)
 
 

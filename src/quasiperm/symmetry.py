@@ -11,7 +11,7 @@ from math import comb, factorial, inf
 from typing import Optional
 
 from .core import Permutation, Record
-from .patterns import layout, pack, profile, push, unpack
+from .patterns import layout, pack, profile, push, push_work, unpack
 
 EXHAUSTIVE_SIZE_LIMIT = 10
 MAX_SEARCH_SIZE = 512
@@ -98,10 +98,8 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
     are left out at m = 2, where every node count stays as it was, the
     CLI's (5, 2) report among them.
 
-    A budget counts work: one unit per node, plus the occurrence steps of
-    each push at orders 3..m (L at orders 3 and 4, C(L, k-2) at order
-    k >= 5, for a prefix of length L), so at m = 2 it counts nodes.  A
-    search that runs out reports the nodes counted by then.
+    A budget counts one unit per node plus the patterns.push_work of each
+    push, 0 at m = 2; a search that runs out reports the nodes counted then.
 
     The complement x -> n-1-x maps solutions to solutions, and the windows
     are the same for all patterns of one order.  So under the empty prefix,
@@ -142,8 +140,7 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
 
     width, guards, steps = layout(n, m)
     high = guards + pack(width, m, targets.get)
-    # the work of a push onto a prefix of length L
-    cost = [sum(L if k <= 4 else comb(L, k - 2) for k in range(3, m + 1)) for L in range(n)]
+    cost = [push_work(L, m) for L in range(n)]
     limit = inf if budget is None else budget
     merged = {} if m == 2 else None
     found, prefix = [], []

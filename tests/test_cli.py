@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from quasiperm.permdisc import MAX_DISCREPANCY_SIZE
 from quasiperm.symmetry import MAX_SEARCH_SIZE
 
 from fresh import run_fresh
+from oracles import push_work
 
 
 def run_cli(capsys, *argv):
@@ -181,7 +183,10 @@ def test_pattern_count_orders_3_and_4(capsys, tmp_path):
 
 
 def test_pattern_count_over_step_limit_is_invalid_input(tmp_path, capsys):
-    n = next(n for n in itertools.count(3) if math.comb(n, 2) > MAX_PROFILE_STEPS)
+    # the least n whose order-3 pushes, push_work summed over the prefix
+    # lengths 0..n-1, pass the limit; order 4 refuses it too
+    work = itertools.accumulate(push_work(3, length) for length in itertools.count())
+    n = next(n for n, total in enumerate(work, start=1) if total > MAX_PROFILE_STEPS)
     big = tmp_path / "big.txt"
     big.write_text(" ".join(map(str, range(n))) + "\n")
     for extra in (("--m", "3"), ("--m", "3", "--pattern", "0 2 1"), ("--m", "4")):
@@ -193,6 +198,16 @@ def test_construct(capsys):
     r = run_json(capsys, "construct", "--n", "2", "--k", "3")["results"]
     assert r["images"] == [0, 4, 2, 6, 1, 5, 3, 7]
     assert r["product_bound"] == 5
+
+
+@pytest.mark.parametrize("k", [10 ** 7, 10 ** 9])
+def test_construct_refuses_a_huge_factor_count_at_once(capsys, k):
+    # refused from bit lengths, before 3 ** k is taken or printed
+    start = time.perf_counter()
+    assert dispatch(["construct", "--n", "3", "--k", str(k)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (f"invalid input: {k}-fold product of size 3 exceeds "
+                                       "the product size limit 16777216\n")
 
 
 def test_invdist_bigints_are_strings(capsys):

@@ -27,7 +27,7 @@ from quasiperm.construct import (
     tensor_product,
 )
 from quasiperm.patterns import count_pattern
-from quasiperm.permdisc import perm_discrepancy, restricted_discrepancies
+from quasiperm.permdisc import discrepancy_cells, perm_discrepancy, restricted_discrepancies
 
 from fresh import run_fresh
 from oracles import brute_inversions, mahonian_rows
@@ -238,6 +238,27 @@ def test_mc_discrepancy_stats_size_limit_raises_before_drawing():
 def test_mc_discrepancy_stats_rejects_threads_below_one(threads):
     with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
         mc_discrepancy_stats(12, 2, seed=5, threads=threads)
+
+
+def test_mc_discrepancy_stats_pools_from_pool_min_work_cells(monkeypatch, serial_pool):
+    # the trials are stubbed out: only the pool decision is under test
+    monkeypatch.setattr(construct, "_trial_discrepancy", lambda task: task[0])
+
+    def pools(n, trials, threads):
+        serial_pool.clear()
+        mc_discrepancy_stats(n, trials, seed=0, threads=threads)
+        return serial_pool != []
+
+    # around the first trial count whose cells reach POOL_MIN_WORK
+    for n in (64, 100, 300):
+        trials = -(-construct.POOL_MIN_WORK // discrepancy_cells(n))
+        assert (trials - 1) * discrepancy_cells(n) < construct.POOL_MIN_WORK
+        assert not pools(n, trials - 1, 2) and pools(n, trials, 2)
+    # the benchmark's Monte Carlo questions run in one process
+    assert not pools(16, 8, 2) and not pools(48, 64, 1)
+    # reaching it exactly asks for a pool
+    monkeypatch.setattr(construct, "POOL_MIN_WORK", 3 * discrepancy_cells(12))
+    assert not pools(12, 2, 2) and pools(12, 3, 2)
 
 
 def test_mc_discrepancy_stats_small_work_starts_no_pool(serial_pool):

@@ -30,7 +30,15 @@ from quasiperm.patterns import (
 from quasiperm.construct import random_permutation
 
 from fresh import run_fresh
+import oracles
 from oracles import brute_B, brute_count_pattern, brute_profile, count_pattern_enumerated
+
+
+def first_refused_size(m):
+    """The least n whose n pushes at order m, push_work summed over the
+    prefix lengths 0..n-1, pass MAX_PROFILE_STEPS."""
+    work = itertools.accumulate(oracles.push_work(m, length) for length in itertools.count())
+    return next(n for n, total in enumerate(work, start=1) if total > MAX_PROFILE_STEPS)
 
 
 def test_patterns_of_order_is_lex_sorted():
@@ -94,25 +102,43 @@ def test_order4_profile_past_the_exhaustive_sizes():
 
 
 def test_profile_step_limit_raises_before_allocating():
-    # the smallest sizes whose order-3 and order-4 profiles pass the limit
-    n3 = next(n for n in itertools.count(3) if math.comb(n, 2) > MAX_PROFILE_STEPS)
-    n4 = next(n for n in itertools.count(4) if math.comb(n, 3) > MAX_PROFILE_STEPS)
-    big3, big4 = Permutation.identity(n3), Permutation.identity(n4)
+    # the smallest size at each order whose pushes pass the limit, refused
+    # with one message form at every order
+    big = {m: Permutation.identity(first_refused_size(m)) for m in range(3, 7)}
     tracemalloc.start()
     try:
-        for sigma, m in ((big3, 3), (big4, 4), (big3, 4)):
-            with pytest.raises(ValueError, match="beyond the limit"):
+        for sigma, m in (*((big[m], m) for m in big), (big[3], 4), (big[4], 6)):
+            with pytest.raises(ValueError, match=rf"order-{m} profile of size {sigma.n} "
+                                                 r"takes \d+ push steps, beyond the limit"):
                 profile(sigma, m)
         with pytest.raises(ValueError, match="beyond the limit"):
-            count_pattern(big3, Permutation((0, 2, 1)))
+            count_pattern(big[3], Permutation((0, 2, 1)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
     # one size smaller is admitted; order 2 has no step limit
+    n3 = big[3].n
     sigma = Permutation.identity(n3 - 1)
     assert profile(sigma, 3).counts == (math.comb(n3 - 1, 3), 0, 0, 0, 0, 0)
-    assert profile(big4, 2).counts == (math.comb(n4, 2), 0)
+    assert profile(big[4], 2).counts == (math.comb(big[4].n, 2), 0)
+
+
+def test_order4_profile_at_a_size_the_old_rule_refused():
+    # the rule C(n, 3) <= MAX_PROFILE_STEPS refused order 4 from n = 312 on;
+    # its pushes take 2 C(n, 2) steps, which are admitted up to n = 2236
+    n = 312
+    sigma = random_permutation(n, 312)
+    v3 = np.array(profile(sigma, 3).counts, dtype=object)
+    v4 = np.array(profile(sigma, 4).counts, dtype=object)
+    assert sum(v4) == math.comb(n, 4)
+    assert ((n - 3) * v3 == build_pattern_matrices(3).B.astype(object) @ v4).all()
+
+
+def test_push_work_matches_the_oracle():
+    for m in range(2, 7):
+        for length in range(31):
+            assert patterns.push_work(length, m) == oracles.push_work(m, length), (m, length)
 
 
 def test_unpack_reads_back_every_field_of_pack():
