@@ -66,7 +66,8 @@ CASES = {
     "error.internal": ["matrix", "--m", "2"],
 }
 CASES.update({f"{name}.csv": CASES[name] + ["--csv"] for name in (
-    "analyze-set", "analyze-perm", "pattern-count.pattern", "invdist", "certify")})
+    "analyze-set", "analyze-perm", "pattern-count.pattern", "invdist", "search-symmetric",
+    "certify")})
 
 # cases run with this handler replaced by one that raises RuntimeError
 BROKEN_HANDLER = {"error.internal": "cmd_matrix"}
