@@ -4,9 +4,9 @@ Every invocation prints one JSON report on stdout,
 
     {"command": ..., "inputs": ..., "results": ..., "version": ..., "elapsed_ms": ...}
 
-or with --csv its results alone, as flat key,value CSV rows.  Diagnostics
-go to stderr.  Exit codes: 0 success, 1 usage error, 2 invalid input,
-3 internal failure.
+or with --csv its results alone, as flat key,value CSV rows; a library
+record prints as its fields, in slot order.  Diagnostics go to stderr.
+Exit codes: 0 success, 1 usage error, 2 invalid input, 3 internal failure.
 
 Each handler imports the modules it computes with, so `--version`,
 invdist, search-symmetric and pattern-count at any order but 2 never
@@ -26,7 +26,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .core import (CyclicInterval, ParseError, Permutation, components,
+from .core import (CyclicInterval, ParseError, Permutation, Record, components,
                    parse_permutation, parse_set, serialize_permutation)
 
 BIGINT_CUTOFF = 1 << 53  # larger integers become decimal strings
@@ -47,7 +47,8 @@ def _intj(v: int):
 
 
 def _encode(obj):
-    """The report form of a library value, for JSON and CSV alike."""
+    """The report form of a library value, for JSON and CSV alike.  Any
+    other record is a dict of its fields, in slot order."""
     if isinstance(obj, Fraction):
         return {"num": _intj(obj.numerator), "den": _intj(obj.denominator),
                 "float": float(obj)}
@@ -55,6 +56,8 @@ def _encode(obj):
         return {"start": obj.start, "length": obj.length}
     if isinstance(obj, Permutation):
         return serialize_permutation(obj)
+    if isinstance(obj, Record):
+        return {name: getattr(obj, name) for name in obj.__slots__}
     raise TypeError(f"{type(obj).__name__} has no report form")
 
 
@@ -177,18 +180,7 @@ def cmd_analyze_perm(args) -> dict:
             "samples": args.sample,
             "scaled_D_lower_bound": value,
         }
-    rep = permdisc.perm_discrepancy(sigma)
-    return {
-        "n": rep.n,
-        "mode": "exact",
-        "scaled_D": rep.scaled_D,
-        "witness_I": rep.witness_I,
-        "witness_J": rep.witness_J,
-        "scaled_d": rep.scaled_d,
-        "witness_d": rep.witness_d,
-        "scaled_d_prime": rep.scaled_d_prime,
-        "witness_d_prime": rep.witness_d_prime,
-    }
+    return {"n": sigma.n, "mode": "exact"} | _encode(permdisc.perm_discrepancy(sigma))
 
 
 def cmd_pattern_count(args) -> dict:
@@ -276,17 +268,10 @@ def cmd_invdist(args) -> dict:
     }
 
 
-def cmd_search_symmetric(args) -> dict:
+def cmd_search_symmetric(args):
     from . import symmetry
 
-    res = symmetry.search_perfect(args.n, args.m, args.budget)
-    return {
-        "n": args.n,
-        "m": args.m,
-        "found": res.found,
-        "nodes_explored": res.nodes_explored,
-        "exhaustive": res.exhaustive,
-    }
+    return symmetry.search_perfect(args.n, args.m, args.budget)
 
 
 def cmd_certify(args) -> dict:

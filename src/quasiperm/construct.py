@@ -51,6 +51,8 @@ def tensor_power(sigma: Permutation, k: int) -> Permutation:
     """k-fold block product of sigma with itself (left fold; associative)."""
     if k < 1:
         raise ValueError("power must be >= 1")
+    if sigma.n == 1:  # every power of the one-point permutation is itself
+        return sigma
     _check_power_size(sigma.n, k)
     return tensor_product([sigma] * k)
 

@@ -45,13 +45,7 @@ from math import comb, factorial
 from operator import add, sub
 from typing import TYPE_CHECKING
 
-from .core import (
-    CyclicInterval,
-    ModulusMismatchError,
-    Permutation,
-    Record,
-    image_of_interval,
-)
+from .core import CyclicInterval, ModulusMismatchError, Permutation, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,10 +84,13 @@ class PermDiscrepancyReport(Record):
 
 def discrepancy_of_pair(sigma: Permutation, i: CyclicInterval,
                         j: CyclicInterval) -> int:
-    """n * D_J(sigma(I)); used to re-check reported witnesses."""
-    from .balance import scaled_discrepancy_in
-
-    return scaled_discrepancy_in(image_of_interval(sigma, i), j.to_subset())
+    """n * D_J(sigma(I)) = |n * #{x in I : sigma(x) in J} - |I| * |J||; used
+    to re-check reported witnesses."""
+    for iv in (i, j):
+        if iv.n != sigma.n:
+            raise ModulusMismatchError(f"moduli differ: {iv.n} vs {sigma.n}")
+    hits = sum(sigma.images[x] in j for x in i.elements())
+    return abs(sigma.n * hits - i.length * j.length)
 
 
 def _lists_pay(cells: int) -> bool:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -7,6 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasiperm.balance import MAX_CERTIFICATE_SIZE
 from quasiperm import cli, patterns
@@ -14,7 +17,7 @@ from quasiperm.cli import _encode, dispatch
 from quasiperm.core import MAX_SET_MODULUS, CyclicInterval, Permutation
 from quasiperm.patterns import MAX_PROFILE_STEPS
 from quasiperm.permdisc import MAX_DISCREPANCY_SIZE
-from quasiperm.symmetry import MAX_SEARCH_SIZE
+from quasiperm.symmetry import MAX_SEARCH_SIZE, SymmetrySearchResult
 
 from fresh import run_fresh
 from oracles import push_work
@@ -264,6 +267,10 @@ def test_report_form_of_library_values():
     assert _encode(Fraction(1 << 60, 3))["num"] == str(1 << 60)
     assert _encode(CyclicInterval(8, 6, 3)) == {"start": 6, "length": 3}
     assert _encode(Permutation((2, 0, 1))) == "2 0 1"
+    # any other record is its fields, in slot order
+    found = [Permutation((0, 2, 1))]
+    assert list(_encode(SymmetrySearchResult(3, 2, found, 7, True)).items()) == [
+        ("n", 3), ("m", 2), ("found", found), ("nodes_explored", 7), ("exhaustive", True)]
     with pytest.raises(TypeError, match="complex has no report form"):
         _encode(1j)
 
@@ -365,3 +372,90 @@ def test_numeric_subcommand_imports_numpy(set_file):
     # the check above can see numpy when it is imported: certify's
     # spectra are numpy FFTs
     assert "numpy" in _loads("certify", "--set", set_file)
+
+
+# Fuzzed calls of analyze-perm and search-symmetric: malformed and extreme
+# permutation files and flag values.  Each call must exit 0, 1 or 2, never
+# 3, and explain a failure in one line: "invalid input: ..." alone, or
+# "usage error: ..." followed by the usage text.
+HUGE = 10 ** 30
+flag_values = st.one_of(
+    st.integers(-3, 12), st.sampled_from([0, HUGE, -HUGE]),
+    st.sampled_from(["x", "1.5", "", "1e3", "nan", "7,"])).map(str)
+perm_tokens = st.one_of(
+    st.integers(-3, 12), st.sampled_from([HUGE, -HUGE]),
+    st.sampled_from(["9" * 5000, "x", "1.5", "nan", "-", "0x1"])).map(str)
+separators = st.sampled_from([" ", ",", ", ", ",,", "\n", " , "])
+
+
+@st.composite
+def perm_texts(draw):
+    """A permutation file: a valid one, a valid one broken at one place, or tokens."""
+    images = [str(v) for v in draw(st.permutations(range(draw(st.integers(1, 24)))))]
+    kind = draw(st.sampled_from(["valid", "valid", "broken", "tokens", "empty"]))
+    if kind == "broken":
+        images[draw(st.integers(0, len(images) - 1))] = draw(perm_tokens)
+    elif kind == "tokens":
+        images = draw(st.lists(perm_tokens, max_size=12))
+    elif kind == "empty":
+        images = []
+    sep = draw(separators)
+    return draw(st.sampled_from(["", ",", sep])) + sep.join(images) \
+        + draw(st.sampled_from(["", "\n", ",", ",\n"]))
+
+
+def _run_fuzzed(argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == [] and out.getvalue()
+    elif code == 1:
+        assert lines[0].startswith("usage error: ")
+        assert "\n".join(lines[1:]) + "\n" == cli.build_parser().format_usage()
+    else:
+        assert code == 2, (argv, lines)
+        assert len(lines) == 1 and lines[0].startswith("invalid input: "), (argv, lines)
+    assert code == 0 or out.getvalue() == ""
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(text=perm_texts(), mode=st.sampled_from([(), ("--exact",), ("--sample",)]),
+       sample=st.one_of(st.integers(0, 50).map(str), flag_values),
+       seed=st.one_of(st.none(), st.integers(-HUGE, HUGE).map(str), flag_values),
+       csv=st.booleans())
+def test_fuzzed_analyze_perm_exits_0_1_or_2(fuzz_dir, text, mode, sample, seed, csv):
+    perm = fuzz_dir / "perm.txt"
+    perm.write_text(text)
+    argv = ["analyze-perm", "--perm", str(perm), *mode]
+    if mode == ("--sample",):
+        argv.append(sample)
+    if seed is not None:
+        argv += ["--seed", seed]
+    _run_fuzzed(argv + ["--csv"] * csv)
+
+
+@st.composite
+def search_flags(draw):
+    n = draw(st.one_of(st.integers(2, 14).map(str), flag_values))
+    m = draw(st.one_of(st.integers(2, 6).map(str), flag_values))
+    # a budget of at most 10^4, or none where an exhaustive search is
+    # quick, n <= 10
+    budgets = [st.integers(-3, 10 ** 4).map(str),
+               st.sampled_from([str(-HUGE), "x", "1.5", ""])]
+    if n.lstrip("-").isdigit() and int(n) <= 10:
+        budgets.append(st.none())
+    budget = draw(st.one_of(budgets))
+    return ["--n", n, "--m", m] + ([] if budget is None else ["--budget", budget])
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(flags=search_flags(), csv=st.booleans())
+def test_fuzzed_search_symmetric_exits_0_1_or_2(flags, csv):
+    _run_fuzzed(["search-symmetric", *flags] + ["--csv"] * csv)

@@ -3,6 +3,7 @@ import math
 import os
 import random
 import statistics
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -45,6 +46,21 @@ def test_tensor_block_structure():
 
 def test_tensor_power_example():
     assert tensor_power(Permutation.identity(2), 3).images == (0, 4, 2, 6, 1, 5, 3, 7)
+
+
+def test_tensor_power_of_the_one_point_permutation_is_itself_at_once():
+    # 1 ** k passes every size limit, so no list of k factors may be built
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert tensor_power(Permutation.identity(1), 10 ** 9) == Permutation((0,))
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 1 << 20
+    with pytest.raises(ValueError, match="power must be >= 1"):
+        tensor_power(Permutation.identity(1), 0)
 
 
 def test_digit_reversal_reverses_base_digits():

@@ -67,6 +67,12 @@ BAD_INPUTS = {
         ModulusMismatchError, "moduli differ: 4 vs 5"),
     "spectrum length above n": (lambda: balance.interval_spectrum_magnitudes(4, 5),
                                 ValueError, "length 5 outside [0, 4]"),
+    "pair across moduli, I": (
+        lambda: permdisc.discrepancy_of_pair(SIGMA, CyclicInterval(5, 0, 2), WHOLE),
+        ModulusMismatchError, "moduli differ: 5 vs 4"),
+    "pair across moduli, J": (
+        lambda: permdisc.discrepancy_of_pair(SIGMA, WHOLE, CyclicInterval(5, 0, 2)),
+        ModulusMismatchError, "moduli differ: 5 vs 4"),
     "separability across moduli": (
         lambda: permdisc.separability_statistic(SIGMA, WHOLE, WHOLE, WHOLE,
                                                 CyclicInterval(5, 0, 2)),

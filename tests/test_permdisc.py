@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasiperm import permdisc
-from quasiperm.core import CyclicInterval, Permutation
+from quasiperm.balance import scaled_discrepancy_in
+from quasiperm.core import CyclicInterval, Permutation, image_of_interval
 from quasiperm.permdisc import (
     MAX_DISCREPANCY_SIZE,
     PermDiscrepancyReport,
@@ -46,6 +47,34 @@ def test_identity_example():
     assert rep.scaled_d_prime == 4
     assert discrepancy_of_pair(Permutation.identity(4),
                                rep.witness_I, rep.witness_J) == 4
+
+
+def test_discrepancy_of_pair_counts_the_image_exhaustive():
+    for n in range(1, 6):
+        intervals = [CyclicInterval(n, start, length)
+                     for start in range(n) for length in range(n + 1)]
+        for images in itertools.permutations(range(n)):
+            sigma = Permutation(images)
+            for i in intervals:
+                image = image_of_interval(sigma, i)
+                for j in intervals:
+                    assert discrepancy_of_pair(sigma, i, j) \
+                        == scaled_discrepancy_in(image, j.to_subset())
+
+
+def test_discrepancy_of_pair_does_not_load_numpy():
+    script = """
+import sys
+
+from quasiperm.core import CyclicInterval, Permutation
+from quasiperm.permdisc import discrepancy_of_pair
+
+sigma = Permutation((2, 0, 1))
+assert discrepancy_of_pair(sigma, CyclicInterval(3, 0, 2), CyclicInterval(3, 1, 1)) == 2
+assert "numpy" not in sys.modules
+"""
+    proc = run_fresh(script)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_perm_discrepancy_matches_brute_force_exhaustive():
