@@ -44,6 +44,24 @@ def brute_weighted_interval_max(weights) -> int:
     return int(np.abs(n * counts - sum(weights) * ls[:, None]).max(initial=0))
 
 
+def interval_witness_by_counting(s: ZnSubset) -> tuple:
+    """(n D(S), witness J) from g(j) = n |S ∩ [0, j]| - |S| (j + 1), each
+    g(j) counted member by member: J runs from just after g's first minimum
+    to its first maximum, and is empty when g is constant."""
+    n = s.n
+    g = [n * sum(1 for x in s.members if x <= j) - s.size * (j + 1)
+         for j in range(n)]
+    top = bottom = 0
+    for j in range(n):
+        if g[j] > g[top]:
+            top = j
+        if g[j] < g[bottom]:
+            bottom = j
+    if g[top] == g[bottom]:
+        return 0, CyclicInterval.empty(n)
+    return g[top] - g[bottom], CyclicInterval(n, (bottom + 1) % n, (top - bottom) % n)
+
+
 def brute_piecewise_balance(n: int, s_mask: int) -> Fraction:
     """max over every nonempty proper T ⊆ Z_n of n D_T(S) / (n^2 c(T)), with
     S and T as bit masks and c(T) the number of cyclic runs of T, counted

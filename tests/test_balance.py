@@ -28,6 +28,7 @@ from oracles import (
     brute_translation,
     brute_weighted_interval_max,
     fourier_spectrum_direct,
+    interval_witness_by_counting,
     translation_statistic_direct,
 )
 
@@ -62,6 +63,17 @@ def test_max_interval_discrepancy_matches_brute_force():
             value, witness = max_interval_discrepancy(s)
             assert value == brute_interval_max(s)
             assert scaled_discrepancy_in(s, witness.to_subset()) == value
+
+
+def test_max_interval_discrepancy_witness_is_first_min_to_first_max():
+    # the tie-break, not only the value: every subset up to n = 8, then
+    # seeded sets of three sizes
+    sets = [ZnSubset(n, frozenset(x for x in range(n) if mask >> x & 1))
+            for n in range(1, 9) for mask in range(1 << n)]
+    rng = random.Random(19)
+    sets += [random_subset(n, rng) for n in (16, 100, 512) for _ in range(5)]
+    for s in sets:
+        assert max_interval_discrepancy(s) == interval_witness_by_counting(s), s
 
 
 def test_discrepancy_complement_identities():
