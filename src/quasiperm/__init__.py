@@ -22,6 +22,7 @@ _EXPORTS = {
         "image_of_interval",
         "parse_permutation",
         "parse_set",
+        "scaled_discrepancy_in",
         "serialize_permutation",
         "serialize_set",
         "sym_abs",
@@ -34,7 +35,6 @@ _EXPORTS = {
         "interval_spectrum_magnitudes",
         "max_interval_discrepancy",
         "multiple_discrepancy",
-        "scaled_discrepancy_in",
         "sum_statistic",
         "translation_statistic",
     ),

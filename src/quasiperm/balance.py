@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CyclicInterval, ModulusMismatchError, Record, ZnSubset
+from .core import CyclicInterval, Record, ZnSubset, _check_moduli, profile_witness
+from .core import scaled_discrepancy_in  # still served as balance.scaled_discrepancy_in
 
 # balance_certificate costs O(n^2 log n): one FFT per interval length
 MAX_CERTIFICATE_SIZE = 4096
@@ -20,30 +21,6 @@ MAX_CERTIFICATE_SIZE = 4096
 
 def _weights(s: ZnSubset) -> np.ndarray:
     return np.asarray(s.indicator(), dtype=np.int64)
-
-
-def scaled_discrepancy_in(s: ZnSubset, t: ZnSubset) -> int:
-    """n * D_T(S) = |n*|S & T| - |S|*|T|| as an exact integer."""
-    if s.n != t.n:
-        raise ModulusMismatchError(f"moduli differ: {s.n} vs {t.n}")
-    return abs(s.n * len(s.members & t.members) - s.size * t.size)
-
-
-def profile_discrepancy(g: np.ndarray) -> tuple:
-    """(n * D, witness interval) from a prefix profile g of length n.
-
-    g(j) = n*P(j) - |S|*(j+1) with P the prefix count of S, so g(n-1) = 0.
-    Every interval discrepancy is a difference g(b) - g(a), wrapping
-    intervals included via the complement identity D_J = D_{complement(J)};
-    the first maximum and the first minimum give the witness.
-    """
-    n = len(g)
-    b = int(np.argmax(g))
-    a = int(np.argmin(g))
-    value = int(g[b]) - int(g[a])
-    if value == 0:
-        return 0, CyclicInterval.empty(n)
-    return value, CyclicInterval(n, (a + 1) % n, (b - a) % n)
 
 
 def _prefix_profile(w: np.ndarray, mass: int) -> np.ndarray:
@@ -54,8 +31,8 @@ def _prefix_profile(w: np.ndarray, mass: int) -> np.ndarray:
 
 
 def max_interval_discrepancy(s: ZnSubset) -> tuple:
-    """(n * D(S), witness interval) with D(S) the max of D_J over all J."""
-    return profile_discrepancy(_prefix_profile(_weights(s), s.size))
+    """(n * D(S), witness J) with D(S) the max of D_J over all J."""
+    return profile_witness(_prefix_profile(_weights(s), s.size).tolist())
 
 
 def _dilated_discrepancy(n: int, members: np.ndarray, k: int) -> int:
@@ -134,8 +111,7 @@ def _translation_sum(smags2: np.ndarray, length: int) -> float:
 def translation_statistic(s: ZnSubset, j: CyclicInterval) -> float:
     """Sum over k of (|S & (J+k)| - |S||J|/n)^2, by the spectral identity
     sum_{k!=0} |S~(k) J~(-k)|^2 / n."""
-    if s.n != j.n:
-        raise ModulusMismatchError(f"moduli differ: {s.n} vs {j.n}")
+    _check_moduli(s.n, j.n)
     return _translation_sum(np.abs(fourier_spectrum(s))[1:] ** 2, j.length)
 
 

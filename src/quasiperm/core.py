@@ -1,8 +1,10 @@
 """Exact combinatorics on the cyclic group Z_n.
 
-Residues, cyclic intervals, subsets and permutations in one-line notation.
-Every value here is immutable and exact; floating point never enters at
-this layer.
+Residues, cyclic intervals, subsets and permutations in one-line notation,
+and the two rules of interval discrepancy that balance and permdisc share:
+the n-scaled count of one set in another, and the value and witness of a
+prefix profile.  Every value here is immutable and exact; floating point
+never enters at this layer.
 """
 
 from __future__ import annotations
@@ -357,3 +359,23 @@ def image_of_interval(p: Permutation, interval: CyclicInterval) -> ZnSubset:
     """{sigma(x) : x in I} as a subset of Z_n."""
     _check_moduli(p.n, interval.n)
     return ZnSubset(p.n, frozenset(p.images[x] for x in interval.elements()))
+
+
+def scaled_discrepancy_in(s: ZnSubset, t: ZnSubset) -> int:
+    """n * D_T(S) = |n*|S & T| - |S|*|T|| as an exact integer."""
+    _check_moduli(s.n, t.n)
+    return abs(s.n * len(s.members & t.members) - s.size * t.size)
+
+
+def profile_witness(g: list) -> tuple:
+    """(n * D, witness J) from a prefix profile g(j) = n*P(j) - |S|*(j+1),
+    P the prefix count of a set S in Z_n.  Every D_J is a difference
+    g(b) - g(a), a wrapping J by D_J = D_{complement(J)}, so n * D is the
+    range of g.  J runs from just after g's first minimum to its first
+    maximum, and is empty when the range is 0."""
+    n = len(g)
+    hi, lo = max(g), min(g)
+    if hi == lo:
+        return 0, CyclicInterval.empty(n)
+    top, bottom = g.index(hi), g.index(lo)
+    return hi - lo, CyclicInterval(n, (bottom + 1) % n, (top - bottom) % n)

@@ -13,8 +13,8 @@ At t = n the formula gives 0 = q[0], so q is periodic, q[t + n] = q[t].
 For positions a < b, q[b] - q[a] is then the prefix profile of sigma(I)
 for I = (a, b - a), starting at a with length b - a, and its negation that
 of the complement (b, n - b + a).  The range (max - min) of the profile is
-n * max_J D_J(sigma(I)) for both, and its first maximum and first minimum
-give the J.  So D is the largest range over the row pairs (a, b).
+n * max_J D_J(sigma(I)) for both, and core.profile_witness gives it and
+the J.  So D is the largest range over the row pairs (a, b).
 
 D and the sampled bound have two scans of the same table, with the same
 answers and witnesses.  A cell is one row pair and one column, so D
@@ -45,7 +45,8 @@ from math import comb, factorial
 from operator import add, sub
 from typing import TYPE_CHECKING
 
-from .core import CyclicInterval, ModulusMismatchError, Permutation, Record
+from .core import (CyclicInterval, Permutation, Record, _check_moduli, image_of_interval,
+                   profile_witness, scaled_discrepancy_in)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -84,13 +85,11 @@ class PermDiscrepancyReport(Record):
 
 def discrepancy_of_pair(sigma: Permutation, i: CyclicInterval,
                         j: CyclicInterval) -> int:
-    """n * D_J(sigma(I)) = |n * #{x in I : sigma(x) in J} - |I| * |J||; used
-    to re-check reported witnesses."""
+    """n * D_J(sigma(I)), the count of sigma(I) in J; used to re-check
+    reported witnesses."""
     for iv in (i, j):
-        if iv.n != sigma.n:
-            raise ModulusMismatchError(f"moduli differ: {iv.n} vs {sigma.n}")
-    hits = sum(sigma.images[x] in j for x in i.elements())
-    return abs(sigma.n * hits - i.length * j.length)
+        _check_moduli(iv.n, sigma.n)
+    return scaled_discrepancy_in(image_of_interval(sigma, i), j.to_subset())
 
 
 def _lists_pay(cells: int) -> bool:
@@ -168,18 +167,11 @@ def _ranges(rows: np.ndarray, base: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _witness(row, a: int, b: int) -> tuple:
-    """(n * D_J(sigma(I)), (I, J)) for I = (a, (b - a) mod n) and its best
-    J, from the table's rows as lists, row(t) for row t; the first maximum
-    and first minimum of the profile give J, and both intervals are empty
-    when the value is 0."""
-    g = list(map(sub, row(b), row(a)))
-    n = len(g)
-    hi, lo = max(g), min(g)
-    if hi == lo:
-        return 0, (CyclicInterval.empty(n), CyclicInterval.empty(n))
-    top, bottom = g.index(hi), g.index(lo)
-    return hi - lo, (CyclicInterval(n, a, (b - a) % n),
-                     CyclicInterval(n, (bottom + 1) % n, (top - bottom) % n))
+    """(n * D_J(sigma(I)), (I, J)) for I = (a, (b - a) mod n) and the J of
+    core.profile_witness, from the table's rows as lists, row(t) for row t;
+    both intervals are empty when the value is 0."""
+    value, j = profile_witness(list(map(sub, row(b), row(a))))
+    return value, (CyclicInterval(j.n, a, (b - a) % j.n) if value else j, j)
 
 
 def _list_scan(sigma: Permutation) -> tuple:
@@ -289,8 +281,7 @@ def separability_statistic(sigma: Permutation, i: CyclicInterval,
     """
     n = sigma.n
     for iv in (i, j, k, kp):
-        if iv.n != n:
-            raise ModulusMismatchError(f"moduli differ: {iv.n} vs {n}")
+        _check_moduli(iv.n, n)
     joint = sum(1 for x in range(n)
                 if x in k and sigma.images[x] in kp
                 and x in i and sigma.images[x] in j)
