@@ -253,17 +253,25 @@ def _check_moduli(n1: int, n2: int) -> None:
         raise ModulusMismatchError(f"moduli differ: {n1} vs {n2}")
 
 
+def _integers(tokens: list, what: str = "token {} at index {}") -> list:
+    """The tokens as integers.  The first that is not one raises ParseError
+    with `what` filled in by it, cut to 40 characters, and by its index."""
+    values = []
+    for i, tok in enumerate(tokens):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            shown = repr(tok[:40]) + ("..." if len(tok) > 40 else "")
+            raise ParseError(f"{what.format(shown, i)} is not an integer") from None
+    return values
+
+
 def parse_permutation(text: str) -> Permutation:
     """Parse whitespace- or comma-separated 0-based images."""
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ParseError("empty input")
-    images = []
-    for i, tok in enumerate(tokens):
-        try:
-            images.append(int(tok))
-        except ValueError:
-            raise ParseError(f"token {tok!r} at index {i} is not an integer") from None
+    images = _integers(tokens)
     try:
         return Permutation(tuple(images))
     except ValueError as exc:
@@ -283,23 +291,15 @@ def parse_set(text: str) -> ZnSubset:
     head, sep, tail = text.partition(":")
     if not sep:
         raise ParseError("expected 'n: e1 e2 ...'")
-    try:
-        n = int(head.strip())
-    except ValueError:
-        raise ParseError(f"modulus {head.strip()!r} is not an integer") from None
+    (n,) = _integers([head.strip()], "modulus {}")
     if n <= 0:
         raise ParseError("modulus must be positive")
     if n > MAX_SET_MODULUS:
         raise ParseError(f"modulus {n} exceeds the limit {MAX_SET_MODULUS}")
-    elements = []
-    for i, tok in enumerate(tail.replace(",", " ").split()):
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ParseError(f"token {tok!r} at index {i} is not an integer") from None
+    elements = _integers(tail.replace(",", " ").split())
+    for i, v in enumerate(elements):
         if not 0 <= v < n:
             raise ParseError(f"element {v} at index {i} outside [0, {n})")
-        elements.append(v)
     members = frozenset(elements)
     if len(members) != len(elements):
         raise ParseError("repeated element in set")

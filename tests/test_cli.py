@@ -374,6 +374,21 @@ def test_numeric_subcommand_imports_numpy(set_file):
     assert "numpy" in _loads("certify", "--set", set_file)
 
 
+@pytest.mark.parametrize("command, flag, text", [
+    ("analyze-perm", "--perm", "0 {} 1\n"),
+    ("analyze-set", "--set", "10: 0 {}\n"),
+    ("certify", "--set", "{}: 0 1\n"),
+], ids=["perm token", "set token", "set modulus"])
+def test_a_long_bad_token_is_cut_in_the_message(tmp_path, capsys, command, flag, text):
+    # 5000 digits are past int()'s limit, so the token is not an integer
+    path = tmp_path / "input.txt"
+    path.write_text(text.format("9" * 5000))
+    assert dispatch([command, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 120, err[:200]
+    assert f"'{'9' * 40}'... " in err
+
+
 # Fuzzed calls of analyze-perm and search-symmetric: malformed and extreme
 # permutation files and flag values.  Each call must exit 0, 1 or 2, never
 # 3, and explain a failure in one line: "invalid input: ..." alone, or
