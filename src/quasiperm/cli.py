@@ -37,9 +37,9 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; the contract wants 1
+    # a bad flag exits 1, not argparse's 2, with the failing parser's usage
     def error(self, message):
-        raise UsageError(message)
+        raise UsageError(message, self.format_usage())
 
 
 def _intj(v: int):
@@ -332,8 +332,9 @@ def dispatch(argv) -> int:
             }
             text = json.dumps(report, indent=2, sort_keys=True, default=_encode)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        message, usage = exc.args
+        print(f"usage error: {message}", file=sys.stderr)
+        sys.stderr.write(usage)
         return 1
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -389,10 +390,25 @@ def test_a_long_bad_token_is_cut_in_the_message(tmp_path, capsys, command, flag,
     assert f"'{'9' * 40}'... " in err
 
 
+def _subcommand_usage(name: str) -> str:
+    """The usage text of one subcommand's own parser."""
+    (subcommands,) = [a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    return subcommands.choices[name].format_usage()
+
+
+def test_a_bad_flag_value_prints_the_subcommand_usage(capsys):
+    assert dispatch(["search-symmetric", "--n", "x", "--m", "2"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "usage error: argument --n: invalid int value: 'x'"
+    assert "\n".join(lines[1:]) + "\n" == _subcommand_usage("search-symmetric")
+    assert lines[1].startswith("usage: quasiperm search-symmetric ")
+
+
 # Fuzzed calls of analyze-perm and search-symmetric: malformed and extreme
 # permutation files and flag values.  Each call must exit 0, 1 or 2, never
 # 3, and explain a failure in one line: "invalid input: ..." alone, or
-# "usage error: ..." followed by the usage text.
+# "usage error: ..." followed by the usage text of the subcommand.
 HUGE = 10 ** 30
 flag_values = st.one_of(
     st.integers(-3, 12), st.sampled_from([0, HUGE, -HUGE]),
@@ -428,7 +444,7 @@ def _run_fuzzed(argv) -> None:
         assert lines == [] and out.getvalue()
     elif code == 1:
         assert lines[0].startswith("usage error: ")
-        assert "\n".join(lines[1:]) + "\n" == cli.build_parser().format_usage()
+        assert "\n".join(lines[1:]) + "\n" == _subcommand_usage(argv[0])
     else:
         assert code == 2, (argv, lines)
         assert len(lines) == 1 and lines[0].startswith("invalid input: "), (argv, lines)
