@@ -12,9 +12,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "CyclicInterval",
-        "DegenerateIntervalError",
-        "ModulusMismatchError",
-        "ParseError",
+        "InputError",
         "Permutation",
         "ZnSubset",
         "classify_interval",
@@ -68,7 +66,6 @@ _EXPORTS = {
     ),
     "construct": (
         "InversionDistribution",
-        "ProductOverflowError",
         "digit_reversal",
         "inversion_distribution",
         "mc_discrepancy_stats",
@@ -81,7 +78,6 @@ _EXPORTS = {
         "tensor_product",
     ),
     "symmetry": (
-        "SearchBudgetRequired",
         "SymmetrySearchResult",
         "divisibility_D",
         "h",

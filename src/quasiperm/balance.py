@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CyclicInterval, Record, ZnSubset, _check_moduli, profile_witness
+from .core import (CyclicInterval, InputError, Record, ZnSubset, _check_moduli,
+                   profile_witness)
 from .core import scaled_discrepancy_in  # still served as balance.scaled_discrepancy_in
 
 # balance_certificate costs O(n^2 log n): one FFT per interval length
@@ -48,7 +49,7 @@ def _members(s: ZnSubset) -> np.ndarray:
 def multiple_discrepancy(s: ZnSubset, k: int) -> int:
     """n * D(kS) where kS is the multiset {k*x : x in S}."""
     if k % s.n == 0:
-        raise ValueError("k must be nonzero mod n")
+        raise InputError("k must be nonzero mod n")
     return _dilated_discrepancy(s.n, _members(s), k)
 
 
@@ -70,7 +71,8 @@ def _max_ratio(mags: np.ndarray, alpha: float) -> tuple:
     n = len(mags)
     if n == 1:
         return 0.0, 0
-    ratios = mags[1:] / _nonzero_ks(n) ** alpha
+    with np.errstate(over="ignore"):  # a |k|^alpha past the float range is inf, its ratio 0
+        ratios = mags[1:] / _nonzero_ks(n) ** alpha
     i = int(np.argmax(ratios))
     return float(ratios[i]), i + 1
 
@@ -83,7 +85,7 @@ def _ratio_square_sum(mags: np.ndarray) -> float:
 def eigenvalue_bound_profile(s: ZnSubset, alpha: float) -> tuple:
     """(max over k != 0 of |S~(k)| / |k|^alpha, witness k)."""
     if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
+        raise InputError("alpha must be positive and finite")
     return _max_ratio(np.abs(fourier_spectrum(s)), alpha)
 
 
@@ -95,7 +97,7 @@ def sum_statistic(s: ZnSubset) -> float:
 def interval_spectrum_magnitudes(n: int, length: int) -> np.ndarray:
     """|J~(k)| for an interval of the given length; independent of start."""
     if not 0 <= length <= n:
-        raise ValueError(f"length {length} outside [0, {n}]")
+        raise InputError(f"length {length} outside [0, {n}]")
     w = np.zeros(n)
     w[:length] = 1.0
     return np.abs(np.fft.fft(w))
@@ -156,7 +158,7 @@ def balance_certificate(s: ZnSubset) -> BalanceCertificate:
     """
     n = s.n
     if n > MAX_CERTIFICATE_SIZE:
-        raise ValueError(f"n={n} exceeds the certificate limit "
+        raise InputError(f"n={n} exceeds the certificate limit "
                          f"{MAX_CERTIFICATE_SIZE}")
     scaled_d, witness_b = max_interval_discrepancy(s)
     eps_b = Fraction(scaled_d, n * n)

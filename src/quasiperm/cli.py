@@ -7,6 +7,9 @@ Every invocation prints one JSON report on stdout,
 or with --csv its results alone, as flat key,value CSV rows; a library
 record prints as its fields, in slot order.  Diagnostics go to stderr.
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 internal failure.
+Invalid input is core.InputError, which the library raises wherever it
+refuses a caller's input; any other exception, a ValueError included, is
+an internal failure.
 
 Each handler imports the modules it computes with, so `--version`,
 invdist, search-symmetric and pattern-count at any order but 2 never
@@ -26,7 +29,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .core import (CyclicInterval, ParseError, Permutation, Record, components,
+from .core import (CyclicInterval, InputError, Permutation, Record, components,
                    parse_permutation, parse_set, serialize_permutation)
 
 BIGINT_CUTOFF = 1 << 53  # larger integers become decimal strings
@@ -65,8 +68,8 @@ def _read(path: str) -> str:
     try:
         with open(path) as fh:
             return fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,7 +174,7 @@ def cmd_analyze_perm(args) -> dict:
     sigma = parse_permutation(_read(args.perm))
     if args.sample is not None:
         if args.sample < 0:
-            raise ValueError(f"--sample {args.sample} is below 0")
+            raise InputError(f"--sample {args.sample} is below 0")
         value = permdisc.sampled_discrepancy_lower_bound(
             sigma, args.sample, args.seed)
         return {
@@ -187,12 +190,12 @@ def cmd_pattern_count(args) -> dict:
     from . import patterns
 
     if args.m < 1:
-        raise ValueError(f"pattern order --m {args.m} is below 1")
+        raise InputError(f"pattern order --m {args.m} is below 1")
     sigma = parse_permutation(_read(args.perm))
     if args.pattern is not None:
         tau = parse_permutation(args.pattern)
         if tau.n != args.m:
-            raise ParseError(f"pattern has order {tau.n}, expected {args.m}")
+            raise InputError(f"pattern has order {tau.n}, expected {args.m}")
         return {
             "n": sigma.n,
             "m": args.m,
@@ -336,7 +339,7 @@ def dispatch(argv) -> int:
         print(f"usage error: {message}", file=sys.stderr)
         sys.stderr.write(usage)
         return 1
-    except ValueError as exc:
+    except InputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -16,7 +16,7 @@ from math import factorial
 from operator import sub
 from typing import Optional, Sequence
 
-from .core import Permutation, Record
+from .core import InputError, Permutation, Record
 
 MAX_PRODUCT_SIZE = 1 << 24
 
@@ -27,15 +27,11 @@ MAX_PRODUCT_SIZE = 1 << 24
 POOL_MIN_WORK = 25 * 10 ** 6
 
 
-class ProductOverflowError(ValueError):
-    """The product size exceeds the supported range."""
-
-
 def tensor(sigma: Permutation, tau: Permutation) -> Permutation:
     """Block product: x -> tau(x div n) + m * sigma(x mod n)."""
     n, m = sigma.n, tau.n
     if n * m > MAX_PRODUCT_SIZE:
-        raise ProductOverflowError(f"product size {n * m} too large")
+        raise InputError(f"product size {n * m} too large")
     return Permutation([tau.images[x // n] + m * sigma.images[x % n] for x in range(n * m)])
 
 
@@ -43,14 +39,14 @@ def _check_power_size(base: int, factors: int) -> None:
     # base >= 2^(bits - 1): bit lengths refuse before a power is taken
     if ((base.bit_length() - 1) * factors >= MAX_PRODUCT_SIZE.bit_length()
             or base ** factors > MAX_PRODUCT_SIZE):
-        raise ProductOverflowError(f"{factors}-fold product of size {base} exceeds the "
-                                   f"product size limit {MAX_PRODUCT_SIZE}")
+        raise InputError(f"{factors}-fold product of size {base} exceeds the "
+                         f"product size limit {MAX_PRODUCT_SIZE}")
 
 
 def tensor_power(sigma: Permutation, k: int) -> Permutation:
     """k-fold block product of sigma with itself (left fold; associative)."""
     if k < 1:
-        raise ValueError("power must be >= 1")
+        raise InputError("power must be >= 1")
     if sigma.n == 1:  # every power of the one-point permutation is itself
         return sigma
     _check_power_size(sigma.n, k)
@@ -59,7 +55,7 @@ def tensor_power(sigma: Permutation, k: int) -> Permutation:
 
 def tensor_product(factors: Sequence[Permutation]) -> Permutation:
     if not factors:
-        raise ValueError("need at least one factor")
+        raise InputError("need at least one factor")
     return reduce(tensor, factors)
 
 
@@ -67,7 +63,7 @@ def digit_reversal(base: int, digits: int) -> Permutation:
     """x -> the number whose base-n expansion is x's read backwards: the
     digits-fold block product of the identity on Z_base."""
     if base < 2 or digits < 1:
-        raise ValueError("need base >= 2 and digits >= 1")
+        raise InputError("need base >= 2 and digits >= 1")
     _check_power_size(base, digits)  # before the identity is built
     return tensor_power(Permutation.identity(base), digits)
 
@@ -76,23 +72,23 @@ def product_bound(sizes: Sequence[int]) -> int:
     """Unscaled discrepancy bound n_k + 2 * sum(n_1..n_{k-1}) - 2k + 1 for a
     k-fold block product with the given factor sizes."""
     if not sizes:
-        raise ValueError("need at least one size")
+        raise InputError("need at least one size")
     if min(sizes) < 2:
-        raise ValueError("factor sizes must be >= 2")
+        raise InputError("factor sizes must be >= 2")
     return sizes[-1] + 2 * sum(sizes[:-1]) - 2 * len(sizes) + 1
 
 
 def schmidt_floor(n: int) -> float:
     """ln(N)/100 - 1; every permutation's discrepancy strictly exceeds it."""
     if n < 1:
-        raise ValueError("size must be positive")
+        raise InputError("size must be positive")
     return math.log(n) / 100.0 - 1.0
 
 
 def shift_counterexample(half: int) -> Permutation:
     """x -> x + n mod 2n; pairwise balanced yet it never contains (0,2,1)."""
     if half < 1:
-        raise ValueError("half-size must be >= 1")
+        raise InputError("half-size must be >= 1")
     n2 = 2 * half
     return Permutation(tuple((x + half) % n2 for x in range(n2)))
 
@@ -107,7 +103,7 @@ def random_permutation(n: int, seed: int) -> Permutation:
     on every platform, with or without numpy.
     """
     if n < 1:
-        raise ValueError("size must be positive")
+        raise InputError("size must be positive")
     from .rng import PCG64
 
     rng = PCG64(seed)
@@ -140,7 +136,7 @@ def inversion_distribution(n: int) -> InversionDistribution:
     (d + i - 1) // 2 <= d, reads the old coefficients only up to that
     index; those past the old half are its mirror image."""
     if not 1 <= n <= 200:
-        raise ValueError("size must be in 1..200")
+        raise InputError("size must be in 1..200")
     half, degree = [1], 0
     for i in range(2, n + 1):
         low = (half + half[:(degree + 1) // 2][::-1])[:(degree + i - 1) // 2 + 1]
@@ -182,9 +178,9 @@ def mc_discrepancy_stats(n: int, trials: int, seed: int,
 
     permdisc._check_size(n)
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise InputError("need at least one trial")
     if threads is not None and threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+        raise InputError(f"threads must be at least 1, got {threads}")
     cores = os.cpu_count() or 1
     workers = min(cores if threads is None else threads, trials, cores)
     tasks = [(n, seed ^ t) for t in range(trials)]

@@ -12,16 +12,10 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 
-class ParseError(ValueError):
-    """Malformed textual input."""
-
-
-class ModulusMismatchError(ValueError):
-    """Operands live in different Z_n."""
-
-
-class DegenerateIntervalError(ValueError):
-    """Empty or full interval where a proper one is required."""
+class InputError(ValueError):
+    """Input the library refuses: malformed text, a value out of range,
+    operands in different Z_n or a size past a limit.  It is the one error
+    the CLI reports as invalid input; any other exception is a fault."""
 
 
 class _DataclassFields:
@@ -92,7 +86,7 @@ class Record:
 def sym_abs(r: int, n: int) -> int:
     """Absolute value of the representative of r taken from (-n/2, n/2]."""
     if n <= 0:
-        raise ValueError("modulus must be positive")
+        raise InputError("modulus must be positive")
     r %= n
     return r if 2 * r <= n else n - r
 
@@ -111,11 +105,11 @@ class CyclicInterval(Record):
 
     def __init__(self, n: int, start: int, length: int) -> None:
         if n <= 0:
-            raise ValueError("modulus must be positive")
+            raise InputError("modulus must be positive")
         if not 0 <= start < n:
-            raise ValueError(f"start {start} not a residue mod {n}")
+            raise InputError(f"start {start} not a residue mod {n}")
         if not 0 <= length <= n:
-            raise ValueError(f"length {length} outside [0, {n}]")
+            raise InputError(f"length {length} outside [0, {n}]")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "length", length)
@@ -161,11 +155,11 @@ class ZnSubset(Record):
 
     def __init__(self, n: int, members: Iterable[int]) -> None:
         if n <= 0:
-            raise ValueError("modulus must be positive")
+            raise InputError("modulus must be positive")
         members = frozenset(members)
         for x in members:
             if not 0 <= x < n:
-                raise ValueError(f"element {x} not a residue mod {n}")
+                raise InputError(f"element {x} not a residue mod {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
 
@@ -211,13 +205,13 @@ class Permutation(Record):
         images = tuple(images)
         n = len(images)
         if n == 0:
-            raise ValueError("permutation must be nonempty")
+            raise InputError("permutation must be nonempty")
         seen = [False] * n
         for i, v in enumerate(images):
             if not 0 <= v < n:
-                raise ValueError(f"image {v} at index {i} outside [0, {n})")
+                raise InputError(f"image {_cut(str(v))} at index {i} outside [0, {n})")
             if seen[v]:
-                raise ValueError(f"duplicate image {v} at index {i}")
+                raise InputError(f"duplicate image {v} at index {i}")
             seen[v] = True
         object.__setattr__(self, "images", images)
 
@@ -250,19 +244,24 @@ class Permutation(Record):
 
 def _check_moduli(n1: int, n2: int) -> None:
     if n1 != n2:
-        raise ModulusMismatchError(f"moduli differ: {n1} vs {n2}")
+        raise InputError(f"moduli differ: {n1} vs {n2}")
+
+
+def _cut(text: str, show=str) -> str:
+    """show(text) cut to 40 characters, with ... after it when cut, so that
+    a message that echoes an input stays one short line."""
+    return show(text[:40]) + ("..." if len(text) > 40 else "")
 
 
 def _integers(tokens: list, what: str = "token {} at index {}") -> list:
-    """The tokens as integers.  The first that is not one raises ParseError
-    with `what` filled in by it, cut to 40 characters, and by its index."""
+    """The tokens as integers.  The first that is not one raises InputError
+    with `what` filled in by it, cut, and by its index."""
     values = []
     for i, tok in enumerate(tokens):
         try:
             values.append(int(tok))
         except ValueError:
-            shown = repr(tok[:40]) + ("..." if len(tok) > 40 else "")
-            raise ParseError(f"{what.format(shown, i)} is not an integer") from None
+            raise InputError(f"{what.format(_cut(tok, repr), i)} is not an integer") from None
     return values
 
 
@@ -270,12 +269,8 @@ def parse_permutation(text: str) -> Permutation:
     """Parse whitespace- or comma-separated 0-based images."""
     tokens = text.replace(",", " ").split()
     if not tokens:
-        raise ParseError("empty input")
-    images = _integers(tokens)
-    try:
-        return Permutation(tuple(images))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        raise InputError("empty input")
+    return Permutation(_integers(tokens))
 
 
 def serialize_permutation(p: Permutation) -> str:
@@ -290,19 +285,19 @@ def parse_set(text: str) -> ZnSubset:
     """Parse the set format "n: e1 e2 ..." with 0 < n <= MAX_SET_MODULUS."""
     head, sep, tail = text.partition(":")
     if not sep:
-        raise ParseError("expected 'n: e1 e2 ...'")
+        raise InputError("expected 'n: e1 e2 ...'")
     (n,) = _integers([head.strip()], "modulus {}")
     if n <= 0:
-        raise ParseError("modulus must be positive")
+        raise InputError("modulus must be positive")
     if n > MAX_SET_MODULUS:
-        raise ParseError(f"modulus {n} exceeds the limit {MAX_SET_MODULUS}")
+        raise InputError(f"modulus {_cut(str(n))} exceeds the limit {MAX_SET_MODULUS}")
     elements = _integers(tail.replace(",", " ").split())
     for i, v in enumerate(elements):
         if not 0 <= v < n:
-            raise ParseError(f"element {v} at index {i} outside [0, {n})")
+            raise InputError(f"element {_cut(str(v))} at index {i} outside [0, {n})")
     members = frozenset(elements)
     if len(members) != len(elements):
-        raise ParseError("repeated element in set")
+        raise InputError("repeated element in set")
     return ZnSubset(n, members)
 
 
@@ -347,7 +342,7 @@ def classify_interval(interval: CyclicInterval) -> IntervalFlags:
     """
     n = interval.n
     if interval.length == 0 or interval.length == n:
-        raise DegenerateIntervalError("flags undefined for empty or full interval")
+        raise InputError("flags undefined for empty or full interval")
     contiguous = not interval.wraps()
     terminal = not interval.complement().wraps()
     initial = terminal and 0 in interval

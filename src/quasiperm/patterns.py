@@ -14,7 +14,7 @@ from math import comb, factorial
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
-from .core import Permutation, Record
+from .core import InputError, Permutation, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,7 +34,7 @@ class ConvergenceError(RuntimeError):
 def patterns_of_order(m: int) -> list:
     """All patterns of order m in lexicographic one-line order."""
     if m < 1:
-        raise ValueError(f"pattern order {m} is below 1")
+        raise InputError(f"pattern order {m} is below 1")
     return [Permutation(p) for p in itertools.permutations(range(m))]
 
 
@@ -117,11 +117,11 @@ def profile(sigma: Permutation, m: int) -> ProfileVector:
     pushes is at most MAX_PROFILE_STEPS."""
     n = sigma.n
     if m < 0:
-        raise ValueError(f"order {m} is negative")
+        raise InputError(f"order {m} is negative")
     if m > n:
-        raise ValueError(f"order {m} exceeds host size {n}")
+        raise InputError(f"order {m} exceeds host size {n}")
     if m > MAX_PROFILE_ORDER:
-        raise ValueError(f"order {m} beyond supported maximum {MAX_PROFILE_ORDER}")
+        raise InputError(f"order {m} beyond supported maximum {MAX_PROFILE_ORDER}")
     if m <= 1:
         return ProfileVector(m, n, (comb(n, m),))
     if m == 2:
@@ -130,7 +130,7 @@ def profile(sigma: Permutation, m: int) -> ProfileVector:
     # push_work summed over the lengths L < n, as sum(C(L, j)) = C(n, j + 1)
     work = sum(comb(n, 2) if k <= 4 else comb(n, k - 1) for k in range(3, m + 1))
     if work > MAX_PROFILE_STEPS:
-        raise ValueError(f"order-{m} profile of size {n} takes {work} push steps, "
+        raise InputError(f"order-{m} profile of size {n} takes {work} push steps, "
                          f"beyond the limit {MAX_PROFILE_STEPS}")
     width, _, steps = layout(n, m)
     diff, prefix, packed = [0] * (n + 1), [], 0
@@ -303,7 +303,7 @@ def _rows_of_B(m: int) -> tuple:
     """B_m as integer rows, built once per order: each value d of the j-th
     (m+1)-pattern tau adds 1 in column j at the row of tau without d."""
     if not 1 <= m <= MAX_MATRIX_ORDER:
-        raise ValueError(f"order {m} outside supported range 1..{MAX_MATRIX_ORDER}")
+        raise InputError(f"order {m} outside supported range 1..{MAX_MATRIX_ORDER}")
     rows = [[0] * factorial(m + 1) for _ in range(factorial(m))]
     for j, tau in enumerate(itertools.permutations(range(m + 1))):
         for d in tau:

@@ -45,8 +45,8 @@ from math import comb, factorial
 from operator import add, sub
 from typing import TYPE_CHECKING
 
-from .core import (CyclicInterval, Permutation, Record, _check_moduli, image_of_interval,
-                   profile_witness, scaled_discrepancy_in)
+from .core import (CyclicInterval, InputError, Permutation, Record, _check_moduli,
+                   image_of_interval, profile_witness, scaled_discrepancy_in)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -109,7 +109,7 @@ def discrepancy_cells(n: int) -> int:
 
 def _check_size(n: int) -> None:
     if n > MAX_DISCREPANCY_SIZE:
-        raise ValueError(f"permutation size {n} exceeds the discrepancy "
+        raise InputError(f"permutation size {n} exceeds the discrepancy "
                          f"limit {MAX_DISCREPANCY_SIZE}")
 
 
@@ -316,7 +316,7 @@ def windowed_pattern_deviation(sigma: Permutation, tau: Permutation,
                                i: CyclicInterval, j: CyclicInterval) -> Fraction:
     """|X^tau(restriction) - C(w, m)/m!| with w the window size; exact."""
     if tau.n < 2:
-        raise ValueError("pattern order must be at least 2")
+        raise InputError("pattern order must be at least 2")
     values = _window_values(sigma, i, j)
     expected = Fraction(comb(len(values), tau.n), factorial(tau.n))
     return abs(_count_in(values, tau) - expected)
@@ -335,7 +335,7 @@ def exclusion_lower_bound(n: int, m: int) -> float:
     pattern entirely: n * C(n,m) / (4 e^(2m) m! n^m).  The rational part
     is exact, so large m underflows to 0.0 instead of overflowing."""
     if not n > m >= 2:
-        raise ValueError("need n > m >= 2")
+        raise InputError("need n > m >= 2")
     return float(Fraction(n * comb(n, m), 4 * factorial(m) * n ** m)) * math.exp(-2 * m)
 
 

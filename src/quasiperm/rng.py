@@ -16,6 +16,8 @@ builds it:
 tests/test_rng.py checks each against numpy's generator.
 """
 
+from .core import InputError
+
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
@@ -32,7 +34,7 @@ def _seed_words(seed: int) -> list:
     """SeedSequence(seed).generate_state(8): the seed's 32-bit words, least
     significant first, hashed into the pool and the pool into 8 words."""
     if seed < 0:
-        raise ValueError("expected non-negative integer")
+        raise InputError("expected non-negative integer")
     words = [seed & _MASK32]
     while seed >> 32:
         seed >>= 32
@@ -71,8 +73,8 @@ def _seed_words(seed: int) -> list:
 
 class PCG64:
     """The stream of numpy.random.Generator(numpy.random.PCG64(seed)) for a
-    non-negative integer seed; a negative one raises ValueError, as numpy's
-    does."""
+    non-negative integer seed; a negative one raises InputError, a
+    ValueError as numpy's is."""
 
     __slots__ = ("_state", "_inc", "_half")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import comb, factorial, inf
 from typing import Optional
 
-from .core import Permutation, Record
+from .core import InputError, Permutation, Record
 from .patterns import layout, pack, profile, push, push_work, unpack
 
 EXHAUSTIVE_SIZE_LIMIT = 10
@@ -19,14 +19,10 @@ MAX_SEARCH_SIZE = 512
 ORDER2_TABLE_CAP = 1 << 16
 
 
-class SearchBudgetRequired(ValueError):
-    """Search space too large without an explicit node budget."""
-
-
 def divisibility_D(n: int, m: int) -> bool:
     """Whether m! divides C(n, m)."""
     if m > n:
-        raise ValueError("need m <= n")
+        raise InputError("need m <= n")
     return comb(n, m) % factorial(m) == 0
 
 
@@ -34,7 +30,7 @@ def h(m: int) -> int:
     """Least n >= m passing the divisibility prerequisite for all orders
     from 2 up to m."""
     if not 2 <= m <= 8:
-        raise ValueError("supported orders are 2..8")
+        raise InputError("supported orders are 2..8")
     n = m
     while not all(divisibility_D(n, mp) for mp in range(2, m + 1)):
         n += 1
@@ -51,7 +47,7 @@ def is_perfect_m_symmetric(sigma: Permutation, m: int) -> bool:
     """
     n = sigma.n
     if not 2 <= m <= n:
-        raise ValueError("need 2 <= m <= n")
+        raise InputError("need 2 <= m <= n")
     if not all(divisibility_D(n, mp) for mp in range(2, m + 1)):
         return False
     target = comb(n, m) // factorial(m)
@@ -121,13 +117,13 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
     stop at without either shortcut, with the same solutions found.
     """
     if not 2 <= m <= n:
-        raise ValueError("need 2 <= m <= n")
+        raise InputError("need 2 <= m <= n")
     if n > MAX_SEARCH_SIZE:
-        raise ValueError(f"n={n} exceeds the search limit {MAX_SEARCH_SIZE}")
+        raise InputError(f"n={n} exceeds the search limit {MAX_SEARCH_SIZE}")
     if budget is not None and budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+        raise InputError(f"budget must be nonnegative, got {budget}")
     if n > EXHAUSTIVE_SIZE_LIMIT and budget is None:
-        raise SearchBudgetRequired(
+        raise InputError(
             f"n={n} exceeds the exhaustive limit {EXHAUSTIVE_SIZE_LIMIT}; "
             "pass an explicit node budget")
 

@@ -19,7 +19,7 @@ from quasiperm.balance import (
     sum_statistic,
     translation_statistic,
 )
-from quasiperm.core import CyclicInterval, ZnSubset, sym_abs
+from quasiperm.core import CyclicInterval, InputError, ZnSubset, sym_abs
 
 from oracles import (
     brute_fourier,
@@ -92,7 +92,7 @@ def test_multiple_discrepancy_examples():
     assert multiple_discrepancy(evens, 5) == 45
     # unit multiplier leaves the set unchanged
     assert multiple_discrepancy(evens, 1) == max_interval_discrepancy(evens)[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         multiple_discrepancy(evens, 0)
 
 
@@ -236,7 +236,7 @@ def test_certificate_size_limit_raises_before_allocating():
     s = ZnSubset.empty(MAX_CERTIFICATE_SIZE + 1)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(InputError, match="exceeds"):
             balance_certificate(s)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import contextlib
 import io
 import itertools
@@ -10,12 +11,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quasiperm.balance import MAX_CERTIFICATE_SIZE
-from quasiperm import cli, patterns
+from quasiperm import cli, construct, patterns
 from quasiperm.cli import _encode, dispatch
 from quasiperm.core import MAX_SET_MODULUS, CyclicInterval, Permutation
+from quasiperm.construct import MAX_PRODUCT_SIZE
 from quasiperm.patterns import MAX_PROFILE_STEPS
 from quasiperm.permdisc import MAX_DISCREPANCY_SIZE
 from quasiperm.symmetry import MAX_SEARCH_SIZE, SymmetrySearchResult
@@ -65,6 +67,9 @@ def test_bad_input_exit_code(tmp_path, capsys):
     assert dispatch(["analyze-perm", "--perm", str(bad)]) == 2
     missing = str(tmp_path / "nope.txt")
     assert dispatch(["analyze-perm", "--perm", missing]) == 2
+    # bytes that do not decode are invalid input too, not an internal failure
+    bad.write_bytes(b"0 \xff\xfe 1\n")
+    assert dispatch(["analyze-perm", "--perm", str(bad)]) == 2
 
 
 def test_report_envelope(capsys, perm_file):
@@ -286,6 +291,39 @@ def test_report_that_cannot_be_encoded_is_internal_failure(capsys, monkeypatch, 
     assert err == "internal failure: object has no report form\n"
 
 
+def test_a_plain_value_error_from_a_kernel_is_internal_failure(capsys, monkeypatch):
+    # only InputError means invalid input; a kernel's own ValueError is a fault
+    def broken(n):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(construct, "inversion_distribution", broken)
+    assert dispatch(["invdist", "--n", "3"]) == 3
+    assert capsys.readouterr() == ("", "internal failure: boom\n")
+
+
+@pytest.mark.parametrize("flags", [("--n", "8", "--trials", "2", "--seed", "-1"),
+                                   ("--n", "201", "--seed", "-3")],
+                         ids=["in process", "in a worker"])
+def test_random_stats_negative_seed_is_invalid_input(capsys, flags):
+    # 50 trials at n = 201 reach POOL_MIN_WORK, so on a machine with two or
+    # more cores the refusal comes back from a pool worker
+    assert dispatch(["random-stats", *flags]) == 2
+    assert capsys.readouterr() == ("", "invalid input: expected non-negative integer\n")
+
+
+def test_analyze_set_huge_alpha_writes_no_warning(capsys, tmp_path):
+    # |k|^1000 overflows for k >= 2, so only k = 1 and its mirror n - 1 count
+    path = tmp_path / "set.txt"
+    path.write_text("10: 0 1 2\n")
+    code = dispatch(["analyze-set", "--set", str(path), "--alpha", "1000"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    stat = json.loads(out)["results"]["eigenvalue_statistic"]
+    assert stat["k"] in (1, 9)
+    assert stat["value"] == pytest.approx(abs(sum(cmath.exp(-2j * math.pi * x / 10)
+                                                  for x in (0, 1, 2))), rel=1e-12)
+
+
 def test_entry_point_subprocess(perm_file):
     proc = subprocess.run(
         [sys.executable, "-m", "quasiperm.cli", "analyze-perm", "--perm", perm_file],
@@ -375,19 +413,25 @@ def test_numeric_subcommand_imports_numpy(set_file):
     assert "numpy" in _loads("certify", "--set", set_file)
 
 
-@pytest.mark.parametrize("command, flag, text", [
-    ("analyze-perm", "--perm", "0 {} 1\n"),
-    ("analyze-set", "--set", "10: 0 {}\n"),
-    ("certify", "--set", "{}: 0 1\n"),
-], ids=["perm token", "set token", "set modulus"])
-def test_a_long_bad_token_is_cut_in_the_message(tmp_path, capsys, command, flag, text):
-    # 5000 digits are past int()'s limit, so the token is not an integer
+@pytest.mark.parametrize("command, flag, text, digits", [
+    ("analyze-perm", "--perm", "0 {} 1\n", 5000),
+    ("analyze-set", "--set", "10: 0 {}\n", 5000),
+    ("certify", "--set", "{}: 0 1\n", 5000),
+    ("analyze-perm", "--perm", "{}\n", 4000),
+    ("analyze-set", "--set", "10: 0 {}\n", 4000),
+    ("certify", "--set", "{}: 0 1\n", 4000),
+], ids=["perm token", "set token", "set modulus", "perm image", "set element",
+        "set modulus value"])
+def test_a_long_bad_token_is_cut_in_the_message(tmp_path, capsys, command, flag, text, digits):
+    # 5000 digits are past int()'s limit, so the token is not an integer and
+    # is shown quoted; 4000 digits are an integer, out of range
     path = tmp_path / "input.txt"
-    path.write_text(text.format("9" * 5000))
+    path.write_text(text.format("9" * digits))
     assert dispatch([command, flag, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and len(err.encode()) < 120, err[:200]
-    assert f"'{'9' * 40}'... " in err
+    shown = "9" * 40 if digits < 4300 else repr("9" * 40)
+    assert f" {shown}... " in err
 
 
 def _subcommand_usage(name: str) -> str:
@@ -405,24 +449,25 @@ def test_a_bad_flag_value_prints_the_subcommand_usage(capsys):
     assert lines[1].startswith("usage: quasiperm search-symmetric ")
 
 
-# Fuzzed calls of analyze-perm and search-symmetric: malformed and extreme
-# permutation files and flag values.  Each call must exit 0, 1 or 2, never
-# 3, and explain a failure in one line: "invalid input: ..." alone, or
-# "usage error: ..." followed by the usage text of the subcommand.
+# Fuzzed calls of every subcommand: malformed and extreme input files and
+# flag values.  Each call must exit 0, 1 or 2, never 3, and explain a
+# failure in one line: "invalid input: ..." alone, or "usage error: ..."
+# followed by the usage text of the subcommand.  Admitted calls stay small,
+# each under about 50 ms, and none starts a process pool.
 HUGE = 10 ** 30
 flag_values = st.one_of(
     st.integers(-3, 12), st.sampled_from([0, HUGE, -HUGE]),
     st.sampled_from(["x", "1.5", "", "1e3", "nan", "7,"])).map(str)
 perm_tokens = st.one_of(
     st.integers(-3, 12), st.sampled_from([HUGE, -HUGE]),
-    st.sampled_from(["9" * 5000, "x", "1.5", "nan", "-", "0x1"])).map(str)
+    st.sampled_from(["9" * 5000, "9" * 4000, "x", "1.5", "nan", "-", "0x1"])).map(str)
 separators = st.sampled_from([" ", ",", ", ", ",,", "\n", " , "])
 
 
 @st.composite
-def perm_texts(draw):
+def perm_texts(draw, max_size=24):
     """A permutation file: a valid one, a valid one broken at one place, or tokens."""
-    images = [str(v) for v in draw(st.permutations(range(draw(st.integers(1, 24)))))]
+    images = [str(v) for v in draw(st.permutations(range(draw(st.integers(1, max_size)))))]
     kind = draw(st.sampled_from(["valid", "valid", "broken", "tokens", "empty"]))
     if kind == "broken":
         images[draw(st.integers(0, len(images) - 1))] = draw(perm_tokens)
@@ -490,3 +535,146 @@ def search_flags(draw):
 @given(flags=search_flags(), csv=st.booleans())
 def test_fuzzed_search_symmetric_exits_0_1_or_2(flags, csv):
     _run_fuzzed(["search-symmetric", *flags] + ["--csv"] * csv)
+
+
+def _is_int(flag: str) -> bool:
+    return flag.lstrip("-").isdigit()
+
+
+set_moduli = st.sampled_from(["0", "-3", str(MAX_SET_MODULUS + 1), str(HUGE), "9" * 4000,
+                              "9" * 5000, "x", "1.5", "nan", ""])
+
+
+@st.composite
+def set_texts(draw):
+    """A set file: a valid one, one with a repeated element, a bad modulus,
+    tokens after a good one, or no colon at all."""
+    n = draw(st.integers(1, 40))
+    elements = [str(v) for v in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))]
+    head = str(n)
+    kind = draw(st.sampled_from(["valid", "valid", "repeated", "modulus", "tokens", "no colon"]))
+    if kind == "repeated":
+        elements.append(draw(st.sampled_from(elements or ["0"])))
+    elif kind == "modulus":
+        head = draw(set_moduli)
+    elif kind == "tokens":
+        elements = draw(st.lists(perm_tokens, max_size=12))
+    sep = draw(separators)
+    return head + ("" if kind == "no colon" else ":") + " " + sep.join(elements) \
+        + draw(st.sampled_from(["", "\n", ",\n"]))
+
+
+seeds = st.one_of(st.none(), st.integers(-HUGE, HUGE).map(str), flag_values)
+alphas = st.one_of(
+    st.floats().map(repr), flag_values,
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "1000", "1e308", "5e-324", "0", "-0.5"]))
+
+
+def _with(flag: str, value) -> list:
+    return [] if value is None else [flag, value]
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(text=set_texts(), k=st.one_of(st.none(), st.integers(-45, 45).map(str), flag_values),
+       alpha=st.one_of(st.none(), alphas), csv=st.booleans())
+def test_fuzzed_analyze_set_exits_0_1_or_2(fuzz_dir, text, k, alpha, csv):
+    path = fuzz_dir / "set.txt"
+    path.write_text(text)
+    _run_fuzzed(["analyze-set", "--set", str(path), *_with("--k", k), *_with("--alpha", alpha)]
+                + ["--csv"] * csv)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(text=set_texts(), seed=seeds, csv=st.booleans())
+def test_fuzzed_certify_exits_0_1_or_2(fuzz_dir, text, seed, csv):
+    path = fuzz_dir / "set.txt"
+    path.write_text(text)
+    _run_fuzzed(["certify", "--set", str(path), *_with("--seed", seed)] + ["--csv"] * csv)
+
+
+def _one_line(images) -> str:
+    return " ".join(map(str, images))
+
+
+@st.composite
+def pattern_count_flags(draw):
+    """--m and --pattern: often a pattern of order m, else any order or tokens."""
+    m = draw(st.one_of(st.integers(1, 6).map(str), st.integers(-2, 7).map(str), flag_values))
+    order = int(m) if _is_int(m) and 1 <= int(m) <= 7 else draw(st.integers(1, 7))
+    pattern = draw(st.one_of(
+        st.none(), st.permutations(range(order)).map(_one_line),
+        st.integers(1, 7).flatmap(lambda k: st.permutations(range(k))).map(_one_line),
+        st.sampled_from(["", "x", "0 0", "1 2", "0,1", "-1 0", "9" * 4000])))
+    return ["--m", m, *_with("--pattern", pattern)]
+
+
+# an order-6 profile at n = 12 takes 847 push steps, a few ms
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(text=perm_texts(max_size=12), flags=pattern_count_flags(), csv=st.booleans())
+def test_fuzzed_pattern_count_exits_0_1_or_2(fuzz_dir, text, flags, csv):
+    perm = fuzz_dir / "perm.txt"
+    perm.write_text(text)
+    _run_fuzzed(["pattern-count", "--perm", str(perm), *flags] + ["--csv"] * csv)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(m=st.one_of(st.integers(-3, 4).map(str), flag_values.filter(lambda v: v != "5")),
+       csv=st.booleans())
+def test_fuzzed_matrix_exits_0_1_or_2(m, csv):
+    # order 5 is admitted but takes seconds; the orders above it are refused
+    _run_fuzzed(["matrix", "--m", m] + ["--csv"] * csv)
+
+
+# An admitted product lists every image, and its D is computed up to size
+# 1024, where it takes half a second.  So admitted sizes stay within the
+# int16 scan's 362 or lie past 1024, at most 4096.
+QUICK_PRODUCTS = [(str(base), str(k)) for base in range(2, 65) for k in range(1, 13)
+                  if base ** k <= 362 or 1024 < base ** k <= 4096]
+
+
+@st.composite
+def construct_flags(draw):
+    """--n and --k: a quick admitted product, or any values but a slow product."""
+    n, k = draw(st.one_of(st.sampled_from(QUICK_PRODUCTS), st.tuples(
+        st.one_of(st.integers(-3, 70).map(str), flag_values),
+        st.one_of(st.integers(-3, 30).map(str), flag_values))))
+    if _is_int(n) and _is_int(k) and int(n) >= 2 and 1 <= int(k) <= 30:
+        size = int(n) ** int(k)
+        assume(size > MAX_PRODUCT_SIZE or size <= 362 or 1024 < size <= 4096)
+    return ["--n", n, "--k", k]
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(flags=construct_flags(), csv=st.booleans())
+def test_fuzzed_construct_exits_0_1_or_2(flags, csv):
+    _run_fuzzed(["construct", *flags] + ["--csv"] * csv)
+
+
+@st.composite
+def random_stats_flags(draw):
+    """Small flags and a seed of either sign, with at most one flag set to
+    any flag value and some left out.  n <= 16 and at most 4 trials stay far
+    below POOL_MIN_WORK; a huge n is refused before anything is drawn."""
+    flags = {"--n": draw(st.integers(1, 16)), "--trials": draw(st.integers(1, 4)),
+             "--seed": draw(st.one_of(st.integers(-3, 3), st.integers(-HUGE, HUGE))),
+             "--threads": draw(st.integers(1, 4))}
+    bad = draw(st.sampled_from([None, *flags]))
+    if bad is not None:
+        flags[bad] = draw(flag_values.filter(
+            lambda v: bad != "--trials" or not _is_int(v) or int(v) <= 4))
+    kept = ["--n", "--seed", *draw(st.sets(st.sampled_from(["--trials", "--threads"])))]
+    return [str(x) for name in kept for x in (name, flags[name])]
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(flags=random_stats_flags(), csv=st.booleans())
+def test_fuzzed_random_stats_exits_0_1_or_2(flags, csv):
+    _run_fuzzed(["random-stats", *flags] + ["--csv"] * csv)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(n=st.one_of(st.integers(-3, 60).map(str), st.sampled_from(["201", str(HUGE)]),
+                   flag_values),
+       csv=st.booleans())
+def test_fuzzed_invdist_exits_0_1_or_2(n, csv):
+    _run_fuzzed(["invdist", "--n", n] + ["--csv"] * csv)

@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasiperm import construct
-from quasiperm.core import Permutation
+from quasiperm.core import InputError, Permutation
 from quasiperm.construct import (
     InversionDistribution,
-    ProductOverflowError,
     digit_reversal,
     inversion_distribution,
     mc_discrepancy_stats,
@@ -59,7 +58,7 @@ def test_tensor_power_of_the_one_point_permutation_is_itself_at_once():
     finally:
         tracemalloc.stop()
     assert elapsed < 1.0 and peak < 1 << 20
-    with pytest.raises(ValueError, match="power must be >= 1"):
+    with pytest.raises(InputError, match="power must be >= 1"):
         tensor_power(Permutation.identity(1), 0)
 
 
@@ -74,9 +73,9 @@ def test_digit_reversal_reverses_base_digits():
 
 
 def test_digit_reversal_size_guard():
-    with pytest.raises(ProductOverflowError):
+    with pytest.raises(InputError):
         digit_reversal(2, 25)
-    with pytest.raises(ProductOverflowError):
+    with pytest.raises(InputError):
         digit_reversal((1 << 24) + 1, 1)
 
 
@@ -100,7 +99,7 @@ def test_tensor_product_associative():
 
 def test_tensor_overflow_guard():
     big = Permutation.identity(1 << 13)
-    with pytest.raises(ProductOverflowError):
+    with pytest.raises(InputError):
         tensor(big, big)
 
 
@@ -242,7 +241,7 @@ def test_mc_discrepancy_stats_size_limit_raises_before_drawing():
     # size, about 45 bytes per element, is drawn
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="exceeds the discrepancy limit"):
+        with pytest.raises(InputError, match="exceeds the discrepancy limit"):
             mc_discrepancy_stats(2 * 10 ** 5, 1, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -252,7 +251,7 @@ def test_mc_discrepancy_stats_size_limit_raises_before_drawing():
 
 @pytest.mark.parametrize("threads", [0, -1])
 def test_mc_discrepancy_stats_rejects_threads_below_one(threads):
-    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+    with pytest.raises(InputError, match=f"threads must be at least 1, got {threads}"):
         mc_discrepancy_stats(12, 2, seed=5, threads=threads)
 
 
@@ -321,3 +320,18 @@ assert loaded == [True], loaded
 """
     proc = run_fresh(script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_size_one_edges():
+    # n = 1 has D = 0 and log n = 0, so its ratio is taken against 1
+    assert random_permutation(1, 7) == Permutation((0,))
+    sample = mc_discrepancy_stats(1, 3, seed=0)
+    assert sample.scaled_values == (0, 0, 0) and sample.ratios == (0.0, 0.0, 0.0)
+    assert shift_counterexample(1) == Permutation((1, 0))
+
+
+def test_power_size_guard_admits_its_limit():
+    # on the guard alone: 2^24 is MAX_PRODUCT_SIZE, and nothing is built
+    construct._check_power_size(2, 24)
+    with pytest.raises(InputError, match="25-fold product of size 2 exceeds"):
+        construct._check_power_size(2, 25)

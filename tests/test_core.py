@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import pytest
@@ -5,9 +6,7 @@ import pytest
 from quasiperm.core import (
     MAX_SET_MODULUS,
     CyclicInterval,
-    DegenerateIntervalError,
-    ModulusMismatchError,
-    ParseError,
+    InputError,
     Permutation,
     ZnSubset,
     classify_interval,
@@ -26,7 +25,7 @@ from oracles import brute_components
 def test_sym_abs_symmetric_representative():
     assert [sym_abs(r, 10) for r in range(10)] == [0, 1, 2, 3, 4, 5, 4, 3, 2, 1]
     assert sym_abs(-1, 10) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         sym_abs(0, 0)
 
 
@@ -53,9 +52,9 @@ def test_interval_complement_partitions():
 
 
 def test_interval_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         CyclicInterval(5, 5, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         CyclicInterval(5, 0, 6)
 
 
@@ -66,13 +65,13 @@ def test_parse_serialize_permutation_roundtrip():
 
 
 def test_parse_permutation_errors_name_the_index():
-    with pytest.raises(ParseError, match="index 1"):
+    with pytest.raises(InputError, match="index 1"):
         parse_permutation("0 x 2")
-    with pytest.raises(ParseError, match="index 2"):
+    with pytest.raises(InputError, match="index 2"):
         parse_permutation("0 1 1")
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError):
         parse_permutation("")
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError):
         parse_permutation("0 5 1")
 
 
@@ -80,11 +79,11 @@ def test_parse_set_roundtrip_and_errors():
     s = parse_set("10: 0 2 4, 6 8")
     assert s.n == 10 and sorted(s.members) == [0, 2, 4, 6, 8]
     assert parse_set(serialize_set(s)) == s
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError):
         parse_set("0 1 2")
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError):
         parse_set("10: 0 10")
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError):
         parse_set("10: 3 3")
 
 
@@ -93,7 +92,7 @@ def test_parse_set_modulus_limit_raises_before_allocating():
     tracemalloc.start()
     try:
         for text in (f"{MAX_SET_MODULUS + 1}: 0", "100000000000: 1"):
-            with pytest.raises(ParseError, match="exceeds"):
+            with pytest.raises(InputError, match="exceeds"):
                 parse_set(text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -105,7 +104,7 @@ def test_permutation_inverse_compose():
     p = Permutation((2, 0, 3, 1))
     assert p.compose(p.inverse()) == Permutation.identity(4)
     assert p.inverse().compose(p) == Permutation.identity(4)
-    with pytest.raises(ModulusMismatchError):
+    with pytest.raises(InputError):
         p.compose(Permutation.identity(3))
 
 
@@ -145,9 +144,9 @@ def test_classify_interval_flags():
     # wrapping interval: complement is contiguous, so it is terminal
     f = classify_interval(CyclicInterval(10, 8, 4))
     assert not f.contiguous and f.terminal and f.initial and f.final
-    with pytest.raises(DegenerateIntervalError):
+    with pytest.raises(InputError):
         classify_interval(CyclicInterval.empty(10))
-    with pytest.raises(DegenerateIntervalError):
+    with pytest.raises(InputError):
         classify_interval(CyclicInterval.full(10))
 
 
@@ -155,3 +154,16 @@ def test_image_of_interval():
     p = Permutation((2, 0, 3, 1))
     img = image_of_interval(p, CyclicInterval(4, 3, 2))
     assert sorted(img.members) == [1, 2]
+
+
+def test_a_token_of_exactly_40_characters_is_shown_whole():
+    for length, shown in ((40, f"'{'x' * 40}'"), (41, f"'{'x' * 40}'...")):
+        with pytest.raises(InputError) as info:
+            parse_permutation("0 " + "x" * length)
+        assert str(info.value) == f"token {shown} at index 1 is not an integer"
+
+
+def test_input_error_pickles():
+    # a refusal raised in a process pool worker comes back pickled
+    err = pickle.loads(pickle.dumps(InputError("moduli differ: 4 vs 5")))
+    assert type(err) is InputError and err.args == ("moduli differ: 4 vs 5",)

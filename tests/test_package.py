@@ -11,8 +11,7 @@ from fresh import run_fresh
 # Every public name of the package, by the module it comes from.
 EXPORTS = {
     "core": {
-        "CyclicInterval", "DegenerateIntervalError", "ModulusMismatchError",
-        "ParseError", "Permutation", "ZnSubset", "classify_interval",
+        "CyclicInterval", "InputError", "Permutation", "ZnSubset", "classify_interval",
         "components", "image_of_interval", "parse_permutation", "parse_set",
         "serialize_permutation", "serialize_set", "sym_abs",
     },
@@ -35,13 +34,13 @@ EXPORTS = {
         "two_pattern_balance", "windowed_pattern_count", "windowed_pattern_deviation",
     },
     "construct": {
-        "InversionDistribution", "ProductOverflowError", "digit_reversal",
+        "InversionDistribution", "digit_reversal",
         "inversion_distribution", "mc_discrepancy_stats", "product_bound",
         "random_permutation", "schmidt_floor", "shift_counterexample", "tensor",
         "tensor_power", "tensor_product",
     },
     "symmetry": {
-        "SearchBudgetRequired", "SymmetrySearchResult", "divisibility_D", "h",
+        "SymmetrySearchResult", "divisibility_D", "h",
         "is_perfect_m_symmetric", "search_perfect",
     },
 }

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasiperm import patterns
-from quasiperm.core import Permutation
+from quasiperm.core import InputError, Permutation
 from quasiperm.patterns import (
     MAX_PROFILE_STEPS,
     build_pattern_matrices,
@@ -108,10 +108,10 @@ def test_profile_step_limit_raises_before_allocating():
     tracemalloc.start()
     try:
         for sigma, m in (*((big[m], m) for m in big), (big[3], 4), (big[4], 6)):
-            with pytest.raises(ValueError, match=rf"order-{m} profile of size {sigma.n} "
+            with pytest.raises(InputError, match=rf"order-{m} profile of size {sigma.n} "
                                                  r"takes \d+ push steps, beyond the limit"):
                 profile(sigma, m)
-        with pytest.raises(ValueError, match="beyond the limit"):
+        with pytest.raises(InputError, match="beyond the limit"):
             count_pattern(big[3], Permutation((0, 2, 1)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -156,7 +156,7 @@ def test_unpack_reads_back_every_field_of_pack():
 
 
 def test_profile_negative_order_names_the_order():
-    with pytest.raises(ValueError, match="order -1"):
+    with pytest.raises(InputError, match="order -1"):
         profile(Permutation((1, 0, 2)), -1)
 
 
@@ -275,5 +275,15 @@ def test_every_pattern_occurs_in_circ():
 
 @pytest.mark.parametrize("m", [0, -1])
 def test_patterns_of_order_below_one_names_the_order(m):
-    with pytest.raises(ValueError, match=f"pattern order {m} is below 1"):
+    with pytest.raises(InputError, match=f"pattern order {m} is below 1"):
         patterns_of_order(m)
+
+
+def test_profile_step_limit_admits_its_value(monkeypatch):
+    # at order 4 the pushes onto n = 8 values take C(8, 2) + C(8, 2) = 56 steps
+    sigma = Permutation((3, 6, 0, 7, 2, 5, 1, 4))
+    monkeypatch.setattr(patterns, "MAX_PROFILE_STEPS", 56)
+    assert profile(sigma, 4).counts == brute_profile(sigma, 4)
+    monkeypatch.setattr(patterns, "MAX_PROFILE_STEPS", 55)
+    with pytest.raises(InputError, match="takes 56 push steps, beyond the limit 55"):
+        profile(sigma, 4)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasiperm import permdisc
 from quasiperm.balance import scaled_discrepancy_in
-from quasiperm.core import CyclicInterval, Permutation, image_of_interval
+from quasiperm.core import CyclicInterval, InputError, Permutation, image_of_interval
 from quasiperm.permdisc import (
     MAX_DISCREPANCY_SIZE,
     PermDiscrepancyReport,
@@ -342,7 +342,7 @@ def test_exclusion_lower_bound_example():
     # the identity omits the descending pattern and indeed exceeds the floor
     d = perm_discrepancy(Permutation.identity(10)).scaled_D / 10
     assert d >= exclusion_lower_bound(10, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         exclusion_lower_bound(3, 3)
 
 
@@ -424,7 +424,7 @@ def test_size_limit_raises_before_allocating():
     try:
         for call in (perm_discrepancy, restricted_discrepancies,
                      lambda s: sampled_discrepancy_lower_bound(s, 1)):
-            with pytest.raises(ValueError, match="exceeds"):
+            with pytest.raises(InputError, match="exceeds"):
                 call(sigma)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -520,3 +520,9 @@ def test_complement_identities(sigma):
     assert after_r.scaled_d_prime == rep.scaled_d
     assert (before_r.scaled_d, before_r.scaled_d_prime) == (rep.scaled_d,
                                                             rep.scaled_d_prime)
+
+
+def test_discrepancy_size_guard_admits_its_limit():
+    permdisc._check_size(MAX_DISCREPANCY_SIZE)
+    with pytest.raises(InputError, match=f"size {MAX_DISCREPANCY_SIZE + 1} exceeds"):
+        permdisc._check_size(MAX_DISCREPANCY_SIZE + 1)

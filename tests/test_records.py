@@ -11,8 +11,8 @@ import pytest
 from quasiperm.balance import BalanceCertificate, balance_certificate
 from quasiperm.construct import (DiscrepancySample, InversionDistribution,
                                  inversion_distribution, mc_discrepancy_stats)
-from quasiperm.core import (CyclicInterval, IntervalFlags, Permutation, ZnSubset,
-                            classify_interval)
+from quasiperm.core import (CyclicInterval, InputError, IntervalFlags, Permutation,
+                            ZnSubset, classify_interval)
 from quasiperm.patterns import PatternMatrix, ProfileVector, build_pattern_matrices, profile
 from quasiperm.permdisc import PermDiscrepancyReport, perm_discrepancy
 from quasiperm.symmetry import SymmetrySearchResult, search_perfect
@@ -90,7 +90,7 @@ def test_constructor_refuses_missing_repeated_and_unknown_fields():
 def test_dataclasses_replace_rebuilds_a_record_through_its_constructor():
     iv = CyclicInterval(10, 1, 2)
     assert dataclasses.replace(iv, length=3) == CyclicInterval(10, 1, 3)
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(InputError, match="outside"):
         dataclasses.replace(iv, length=11)
 
 

@@ -8,12 +8,13 @@ import pytest
 
 from oracles import (brute_first_rank_counts, brute_fixed_counts, brute_inversions,
                      brute_profile, brute_search_trace)
-from quasiperm.core import Permutation
+from quasiperm.construct import inversion_distribution
+from quasiperm.core import InputError, Permutation
 from quasiperm import symmetry
 from quasiperm.patterns import layout, patterns_of_order, push, standardize, unpack
 from quasiperm.symmetry import (
     MAX_SEARCH_SIZE,
-    SearchBudgetRequired,
+    SymmetrySearchResult,
     divisibility_D,
     fixed_counts,
     h,
@@ -123,7 +124,7 @@ def test_search_generic_order_agrees():
 
 
 def test_budget_semantics():
-    with pytest.raises(SearchBudgetRequired):
+    with pytest.raises(InputError):
         search_perfect(12, 2)
     res = search_perfect(12, 2, budget=1000)
     assert not res.exhaustive
@@ -131,7 +132,7 @@ def test_budget_semantics():
 
 
 def test_bad_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         search_perfect(4, 1)
 
 
@@ -213,11 +214,11 @@ def test_children_pushed_onto_copies_leave_the_parent_unchanged():
 def test_search_size_limit_raises_before_allocating():
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="search limit"):
+        with pytest.raises(InputError, match="search limit"):
             search_perfect(MAX_SEARCH_SIZE + 1, 2, budget=10)
-        with pytest.raises(ValueError, match="search limit"):
+        with pytest.raises(InputError, match="search limit"):
             search_perfect(2000, 2, budget=5000)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(InputError, match="nonnegative"):
             search_perfect(9, 3, budget=-5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -443,3 +444,23 @@ def test_fixed_counts_match_the_prune_oracle():
             if L < n:
                 packed += sum(diff[:images[L] + 1])
                 push(diff, prefix, images[L], steps)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9])
+def test_order2_search_finds_every_permutation_with_half_the_inversions(n):
+    # two independent kernels: perfect 2-symmetry is C(n, 2) / 2 inversions
+    half = math.comb(n, 2) // 2
+    assert len(search_perfect(n, 2).found) == inversion_distribution(n).counts[half]
+
+
+def test_perfect_symmetry_at_order_n_is_decided():
+    # one occurrence of order n cannot cover n! >= 2 patterns evenly
+    for n in (2, 3, 4):
+        assert not is_perfect_m_symmetric(Permutation.identity(n), n)
+
+
+def test_exhaustive_size_limit_is_admitted_at_its_value():
+    # C(10, 2) = 45 is odd, so the admitted search ends at its first test
+    assert search_perfect(10, 2) == SymmetrySearchResult(10, 2, [], 0, True)
+    with pytest.raises(InputError, match="n=11 exceeds the exhaustive limit 10"):
+        search_perfect(11, 2)
