@@ -29,7 +29,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .core import (CyclicInterval, InputError, Permutation, Record, components,
+from .core import (CyclicInterval, InputError, Permutation, Record, _cut, components,
                    parse_permutation, parse_set, serialize_permutation)
 
 BIGINT_CUTOFF = 1 << 53  # larger integers become decimal strings
@@ -174,7 +174,7 @@ def cmd_analyze_perm(args) -> dict:
     sigma = parse_permutation(_read(args.perm))
     if args.sample is not None:
         if args.sample < 0:
-            raise InputError(f"--sample {args.sample} is below 0")
+            raise InputError(f"--sample {_cut(str(args.sample))} is below 0")
         value = permdisc.sampled_discrepancy_lower_bound(
             sigma, args.sample, args.seed)
         return {
@@ -190,7 +190,7 @@ def cmd_pattern_count(args) -> dict:
     from . import patterns
 
     if args.m < 1:
-        raise InputError(f"pattern order --m {args.m} is below 1")
+        raise InputError(f"pattern order --m {_cut(str(args.m))} is below 1")
     sigma = parse_permutation(_read(args.perm))
     if args.pattern is not None:
         tau = parse_permutation(args.pattern)

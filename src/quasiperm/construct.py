@@ -16,7 +16,7 @@ from math import factorial
 from operator import sub
 from typing import Optional, Sequence
 
-from .core import InputError, Permutation, Record
+from .core import InputError, Permutation, Record, _cut
 
 MAX_PRODUCT_SIZE = 1 << 24
 
@@ -25,6 +25,18 @@ MAX_PRODUCT_SIZE = 1 << 24
 # trials cost more than the second core saves: on a 2-core x86-64 machine the
 # pool lost below 5e6 cells and won at nearly every measured size from 2.5e7.
 POOL_MIN_WORK = 25 * 10 ** 6
+
+# Largest trials * permdisc.discrepancy_cells(n) that mc_discrepancy_stats
+# takes.  D scanned 0.82 ns a cell at n = 1024 and 2048 on a 2-core x86-64
+# host, so this is about 80 s of D on one core: 2 trials at n = 4096, 186
+# at 1024.
+MAX_MC_CELLS = 10 ** 11
+
+# Most trials that mc_discrepancy_stats takes at any size: each keeps its
+# value and ratio, and n = 1 has no cells at all.  On the same host 10^5
+# trials at n = 1 took 3.1 s and 14 MB of traced memory, and 10^6 took 40 s
+# and raised peak RSS by 157 MB.
+MAX_TRIALS = 10 ** 5
 
 
 def tensor(sigma: Permutation, tau: Permutation) -> Permutation:
@@ -39,8 +51,8 @@ def _check_power_size(base: int, factors: int) -> None:
     # base >= 2^(bits - 1): bit lengths refuse before a power is taken
     if ((base.bit_length() - 1) * factors >= MAX_PRODUCT_SIZE.bit_length()
             or base ** factors > MAX_PRODUCT_SIZE):
-        raise InputError(f"{factors}-fold product of size {base} exceeds the "
-                         f"product size limit {MAX_PRODUCT_SIZE}")
+        raise InputError(f"{_cut(str(factors))}-fold product of size {_cut(str(base))} "
+                         f"exceeds the product size limit {MAX_PRODUCT_SIZE}")
 
 
 def tensor_power(sigma: Permutation, k: int) -> Permutation:
@@ -172,15 +184,23 @@ def mc_discrepancy_stats(n: int, trials: int, seed: int,
     min(threads, trials, cores), and None means every core.  A process pool
     is started only when that cap exceeds 1 and trials * discrepancy_cells(n)
     of permdisc reaches POOL_MIN_WORK; otherwise the trials run in this
-    process.  A size that D cannot take is refused before anything is drawn.
+    process.  A size that D cannot take, more than MAX_TRIALS trials or
+    more than MAX_MC_CELLS cells of D in all are refused before anything is
+    drawn.
     """
     from . import permdisc
 
     permdisc._check_size(n)
     if trials < 1:
         raise InputError("need at least one trial")
+    if trials > MAX_TRIALS:
+        raise InputError(f"{_cut(str(trials))} trials exceed the limit {MAX_TRIALS}")
+    cells = trials * permdisc.discrepancy_cells(n)
+    if cells > MAX_MC_CELLS:
+        raise InputError(f"{trials} trials at size {n} take {cells} cells of D, "
+                         f"beyond the limit {MAX_MC_CELLS}")
     if threads is not None and threads < 1:
-        raise InputError(f"threads must be at least 1, got {threads}")
+        raise InputError(f"threads must be at least 1, got {_cut(str(threads))}")
     cores = os.cpu_count() or 1
     workers = min(cores if threads is None else threads, trials, cores)
     tasks = [(n, seed ^ t) for t in range(trials)]

@@ -9,6 +9,7 @@ never enters at this layer.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
 
 
@@ -253,24 +254,61 @@ def _cut(text: str, show=str) -> str:
     return show(text[:40]) + ("..." if len(text) > 40 else "")
 
 
-def _integers(tokens: list, what: str = "token {} at index {}") -> list:
-    """The tokens as integers.  The first that is not one raises InputError
-    with `what` filled in by it, cut, and by its index."""
-    values = []
-    for i, tok in enumerate(tokens):
+# Characters in one slice of the text that _integers splits and converts
+_SLICE = 1 << 14
+
+
+def _integer_slices(text: str) -> Iterator[list]:
+    """The tokens of text, split at commas and whitespace as
+    text.replace(",", " ").split() splits it, as integers, one slice of
+    _SLICE characters at a time.  A token that runs on past a slice goes to
+    the next one, and a slice that holds only part of one token is widened
+    until it holds all of it.  The first token that is not an integer
+    raises InputError with it, cut, and its index in the whole text."""
+    pos, width, index = 0, _SLICE, 0
+    while pos < len(text):
+        chunk = text[pos:pos + width]
+        tokens = chunk.replace(",", " ").split()
+        end = pos + len(chunk)
+        if end < len(text) and tokens and not _separator(chunk[-1]) \
+                and not _separator(text[end]):
+            if len(tokens) == 1:
+                width *= 2
+                continue
+            end -= len(tokens.pop())
         try:
-            values.append(int(tok))
+            values = list(map(int, tokens))
         except ValueError:
-            raise InputError(f"{what.format(_cut(tok, repr), i)} is not an integer") from None
-    return values
+            i, tok = next((i, tok) for i, tok in enumerate(tokens) if not _is_integer(tok))
+            raise InputError(f"token {_cut(tok, repr)} at index {index + i} "
+                             "is not an integer") from None
+        pos, width, index = end, _SLICE, index + len(values)
+        yield values
+
+
+def _separator(c: str) -> bool:
+    return c == "," or c.isspace()
+
+
+def _is_integer(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _integers(text: str) -> tuple:
+    """The integers of _integer_slices, straight into one tuple."""
+    return tuple(chain.from_iterable(_integer_slices(text)))
 
 
 def parse_permutation(text: str) -> Permutation:
     """Parse whitespace- or comma-separated 0-based images."""
-    tokens = text.replace(",", " ").split()
-    if not tokens:
+    images = _integers(text)
+    if not images:
         raise InputError("empty input")
-    return Permutation(_integers(tokens))
+    return Permutation(images)
 
 
 def serialize_permutation(p: Permutation) -> str:
@@ -286,12 +324,16 @@ def parse_set(text: str) -> ZnSubset:
     head, sep, tail = text.partition(":")
     if not sep:
         raise InputError("expected 'n: e1 e2 ...'")
-    (n,) = _integers([head.strip()], "modulus {}")
+    head = head.strip()
+    try:
+        n = int(head)
+    except ValueError:
+        raise InputError(f"modulus {_cut(head, repr)} is not an integer") from None
     if n <= 0:
         raise InputError("modulus must be positive")
     if n > MAX_SET_MODULUS:
         raise InputError(f"modulus {_cut(str(n))} exceeds the limit {MAX_SET_MODULUS}")
-    elements = _integers(tail.replace(",", " ").split())
+    elements = _integers(tail)
     for i, v in enumerate(elements):
         if not 0 <= v < n:
             raise InputError(f"element {_cut(str(v))} at index {i} outside [0, {n})")

@@ -14,7 +14,7 @@ from math import comb, factorial
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
-from .core import InputError, Permutation, Record
+from .core import InputError, Permutation, Record, _cut
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,26 +64,34 @@ def _inversions(values: Sequence[int]) -> int:
     blocks of values are the lower and upper halves of one block, and it
     is inverted when w comes before u.  Values are padded to a power of
     two with increasing positions past the end, which invert nothing.
-    Each block's positions are sorted at the level below, so one stable
-    sort by (block, position) merges them, and the upper-half positions
-    before a lower-half one are its column in the merged block minus its
-    rank in its own half.
+    Each block's positions are sorted at the level below.  A level packs
+    each position and the half of its block it lies in into one key,
+    2 * position + half bit, and sorts the keys of every block in place, as
+    the rows of a view with one row per block.  Keys are distinct, so a
+    sorted row is the merged block, and its half bits say which half each
+    position came from.  The upper-half positions before a lower-half one
+    are then its column in the merged block minus its rank in its own
+    half.  Keys are below 2 * size, so int32 holds them up to size 2^30.
     """
     import numpy as np
 
     n = len(values)
     bits = max(n - 1, 0).bit_length()
     size = 1 << bits
-    positions = np.arange(size)
-    positions[np.asarray(values, dtype=np.intp)] = np.arange(n)
-    index = np.arange(size)
+    dtype = np.int32 if bits < 31 else np.int64
+    keys = np.arange(size, dtype=dtype)
+    keys[np.asarray(values, dtype=np.intp)] = np.arange(n, dtype=dtype)
+    keys <<= 1
     inv = 0
     for level in range(bits):
         half = 1 << level
-        order = np.argsort(positions | (index >> (level + 1) << bits), kind="stable")
-        positions = positions[order]
-        columns = np.nonzero((order & half) == 0)[0] & (2 * half - 1)
+        blocks = keys.reshape(-1, 2 * half)
+        blocks[:, half:] |= 1
+        blocks.sort(axis=1)
+        columns = np.flatnonzero((keys & 1) == 0)
+        columns &= 2 * half - 1
         inv += int(columns.sum()) - (size >> (level + 1)) * half * (half - 1) // 2
+        keys &= ~1
     return inv
 
 
@@ -117,11 +125,11 @@ def profile(sigma: Permutation, m: int) -> ProfileVector:
     pushes is at most MAX_PROFILE_STEPS."""
     n = sigma.n
     if m < 0:
-        raise InputError(f"order {m} is negative")
+        raise InputError(f"order {_cut(str(m))} is negative")
     if m > n:
-        raise InputError(f"order {m} exceeds host size {n}")
+        raise InputError(f"order {_cut(str(m))} exceeds host size {n}")
     if m > MAX_PROFILE_ORDER:
-        raise InputError(f"order {m} beyond supported maximum {MAX_PROFILE_ORDER}")
+        raise InputError(f"order {_cut(str(m))} beyond supported maximum {MAX_PROFILE_ORDER}")
     if m <= 1:
         return ProfileVector(m, n, (comb(n, m),))
     if m == 2:
@@ -303,7 +311,7 @@ def _rows_of_B(m: int) -> tuple:
     """B_m as integer rows, built once per order: each value d of the j-th
     (m+1)-pattern tau adds 1 in column j at the row of tau without d."""
     if not 1 <= m <= MAX_MATRIX_ORDER:
-        raise InputError(f"order {m} outside supported range 1..{MAX_MATRIX_ORDER}")
+        raise InputError(f"order {_cut(str(m))} outside supported range 1..{MAX_MATRIX_ORDER}")
     rows = [[0] * factorial(m + 1) for _ in range(factorial(m))]
     for j, tau in enumerate(itertools.permutations(range(m + 1))):
         for d in tau:
@@ -313,12 +321,16 @@ def _rows_of_B(m: int) -> tuple:
 
 def build_pattern_matrices(m: int) -> PatternMatrix:
     """Exact integer B_m (entry = count of row pattern in column pattern),
-    in fresh arrays on every call."""
+    in fresh arrays on every call.  A = B^T B is taken in float64, where
+    numpy uses BLAS and int64 it does not, and is exact: a column of B sums
+    to m + 1, so every partial sum of an entry of A is an integer at most
+    (m + 1)^2, far below 2^53."""
     rows = _rows_of_B(m)
     import numpy as np
 
     b = np.array(rows, dtype=np.int64)
-    return PatternMatrix(m, b, b.T @ b)
+    f = b.astype(np.float64)
+    return PatternMatrix(m, b, (f.T @ f).astype(np.int64))
 
 
 def top_eigenvalue(a) -> float:

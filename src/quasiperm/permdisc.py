@@ -28,6 +28,15 @@ loads numpy and takes the array scan.  That is rent-or-buy (Karlin,
 Manasse, Rudolph & Sleator 1988): a process never pays much more than
 twice the better of the two.  Only the time differs, never the answer.
 
+The array scan of D holds all of q and a scan buffer as large.  d and the
+sampled bound hold no n x n array: they read q in blocks of about
+_ROW_CELLS cells, each block made from the row before it.  The sampled
+bound makes the rows of its starts straight from their counts, a block's
+worth of starts at a time, and scans every block of q against them, so a
+group of starts costs n^2 more for the rows.  It holds three blocks and
+O(n) more, 0.6 MB at n = 1024 and 0.8 MB at 4096, where q alone takes 4
+and 67 MB.
+
 Every entry of q and every row difference is n * c - L * (j + 1) with
 max(0, L + j + 1 - n) <= c <= min(L, j + 1), so |q| <= n^2 / 4.  The
 array table is int16 while n^2 < 2^17 (n <= 362) and int32 above; ranges
@@ -45,7 +54,7 @@ from math import comb, factorial
 from operator import add, sub
 from typing import TYPE_CHECKING
 
-from .core import (CyclicInterval, InputError, Permutation, Record, _check_moduli,
+from .core import (CyclicInterval, InputError, Permutation, Record, _check_moduli, _cut,
                    image_of_interval, profile_witness, scaled_discrepancy_in)
 
 if TYPE_CHECKING:
@@ -58,6 +67,14 @@ MAX_DISCREPANCY_SIZE = 4096
 
 # Elements in one block of the column scan, 1 MB of int16.
 _BLOCK = 1 << 19
+
+# Cells in one block of rows of q that d and the sampled bound read: 256 KB
+# of int32, so that a block and its scan buffer stay within a 2 MB L2
+# cache.  On a 2-core x86-64 host the array scan of the sampled bound over
+# 8 starts took 13.5 ms at n = 1024 with blocks of 2^16 cells, 14-17 ms
+# with 2^18 and 16-21 ms with 2^14 (medians of 15 calls); at n = 4096,
+# 212-220, 222-233 and 415-524 ms.
+_ROW_CELLS = 1 << 16
 
 # List cells worth loading numpy once, per process.  On a 2-core x86-64
 # host a fresh `quasiperm analyze-perm` at n = 32 took 211-216 ms on the
@@ -109,7 +126,7 @@ def discrepancy_cells(n: int) -> int:
 
 def _check_size(n: int) -> None:
     if n > MAX_DISCREPANCY_SIZE:
-        raise InputError(f"permutation size {n} exceeds the discrepancy "
+        raise InputError(f"permutation size {_cut(str(n))} exceeds the discrepancy "
                          f"limit {MAX_DISCREPANCY_SIZE}")
 
 
@@ -136,8 +153,23 @@ def _list_ranges(rows: list, base: list) -> list:
     return ranges
 
 
-def _prefix_table(sigma: Permutation) -> np.ndarray:
-    """The n x n table q of the module docstring in numpy, built in place."""
+def _table_dtype(n: int):
+    """The dtype of the table q at size n, as _row_blocks proves it safe."""
+    import numpy as np
+
+    return np.int16 if n * n < 1 << 17 else np.int32
+
+
+def _block_rows(n: int) -> int:
+    """Rows in one block of q of about _ROW_CELLS cells."""
+    return max(1, _ROW_CELLS // n)
+
+
+def _row_blocks(sigma: Permutation, rows: int):
+    """The rows of the table q of the module docstring in numpy, in blocks
+    of `rows` rows.  Each block is built in place in one buffer, which the
+    next block overwrites, from the row before it: row t + 1 is row t minus
+    j + 1, plus n from column sigma(t) on."""
     import numpy as np
 
     n = sigma.n
@@ -149,13 +181,27 @@ def _prefix_table(sigma: Permutation) -> np.ndarray:
     # n^2 < 2^17 (n <= 362).  A range, one interval's n c - L m, obeys the
     # same bound, but ranges are taken in int32 so that only the table
     # rests on it.
-    dtype = np.int16 if n * n < 1 << 17 else np.int32
-    q = np.full((n, n), -1, dtype=dtype)
-    q[0] = 0
-    q[np.arange(1, n), np.asarray(sigma.images[:-1], dtype=np.intp)] += n
-    np.cumsum(q, axis=1, dtype=dtype, out=q)
-    np.cumsum(q, axis=0, dtype=dtype, out=q)
-    return q
+    dtype = _table_dtype(n)
+    images = np.asarray(sigma.images, dtype=np.intp)
+    buf = np.empty((min(rows, n), n), dtype=dtype)
+    for t0 in range(0, n, rows):
+        block = buf[:min(rows, n - t0)]
+        block.fill(-1)
+        # row i of the block is row t0 - 1 plus the steps from t0 - 1 to
+        # t0 + i - 1, and row 0 of q is 0
+        first = 1 if t0 == 0 else 0
+        block[np.arange(first, len(block)),
+              images[t0 + first - 1:t0 + len(block) - 1]] += n
+        np.cumsum(block, axis=1, dtype=dtype, out=block)
+        block[0] = 0 if t0 == 0 else block[0] + last
+        np.cumsum(block, axis=0, dtype=dtype, out=block)
+        yield block
+        last = block[-1].copy()
+
+
+def _prefix_table(sigma: Permutation) -> np.ndarray:
+    """The n x n table q of the module docstring in numpy, one block."""
+    return next(_row_blocks(sigma, sigma.n))
 
 
 def _ranges(rows: np.ndarray, base: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -263,11 +309,14 @@ def restricted_discrepancies(sigma: Permutation) -> tuple:
     respectively final intervals and J free; restricting J instead would
     break the block-product recursion inequalities.  The final intervals
     are the complements of the initial ones, so d' = d.  Row 0 of q is 0,
-    so the rows of q are the profiles of the initial intervals."""
+    so the rows of q are the profiles of the initial intervals; they are
+    read in blocks of rows."""
     import numpy as np
 
-    q = _prefix_table(sigma)
-    d = int(np.subtract(q.max(axis=1), q.min(axis=1), dtype=np.int32).max())
+    d = 0
+    for block in _row_blocks(sigma, _block_rows(sigma.n)):
+        ranges = np.subtract(block.max(axis=1), block.min(axis=1), dtype=np.int32)
+        d = max(d, int(ranges.max()))
     return d, d
 
 
@@ -369,9 +418,33 @@ def _list_sampled(sigma: Permutation, starts: set) -> int:
 
 
 def _array_sampled(sigma: Permutation, starts: set) -> int:
-    """The sampled bound over `starts` by the array scan."""
+    """The sampled bound over `starts` by the array scan.  The rows of the
+    starts are made straight from their counts, a block's worth at a time,
+    and every block of rows of q is scanned against them."""
     import numpy as np
 
-    q = _prefix_table(sigma)
-    g = np.empty_like(q)
-    return max(int(_ranges(q, q[s], g).max()) for s in starts)
+    n = sigma.n
+    rows = _block_rows(n)
+    g = np.empty((min(rows, n), n), dtype=_table_dtype(n))
+    order = sorted(starts)
+    best = 0
+    for i in range(0, len(order), rows):
+        bases = _start_rows(sigma, order[i:i + rows])
+        for block in _row_blocks(sigma, rows):
+            for base in bases:
+                best = max(best, int(_ranges(block, base, g).max()))
+    return best
+
+
+def _start_rows(sigma: Permutation, starts: list) -> np.ndarray:
+    """Rows `starts` of q, each n * cumsum(bincount(sigma[:s])) - s * (j + 1),
+    in the dtype of _row_blocks."""
+    import numpy as np
+
+    n = sigma.n
+    images = np.asarray(sigma.images[:max(starts)], dtype=np.intp)
+    columns = np.arange(1, n + 1)
+    out = np.empty((len(starts), n), dtype=_table_dtype(n))
+    for row, s in zip(out, starts):
+        row[:] = n * np.cumsum(np.bincount(images[:s], minlength=n)) - s * columns
+    return out

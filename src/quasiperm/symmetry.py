@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import comb, factorial, inf
 from typing import Optional
 
-from .core import InputError, Permutation, Record
+from .core import InputError, Permutation, Record, _cut
 from .patterns import layout, pack, profile, push, push_work, unpack
 
 EXHAUSTIVE_SIZE_LIMIT = 10
@@ -119,9 +119,9 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
     if not 2 <= m <= n:
         raise InputError("need 2 <= m <= n")
     if n > MAX_SEARCH_SIZE:
-        raise InputError(f"n={n} exceeds the search limit {MAX_SEARCH_SIZE}")
+        raise InputError(f"n={_cut(str(n))} exceeds the search limit {MAX_SEARCH_SIZE}")
     if budget is not None and budget < 0:
-        raise InputError(f"budget must be nonnegative, got {budget}")
+        raise InputError(f"budget must be nonnegative, got {_cut(str(budget))}")
     if n > EXHAUSTIVE_SIZE_LIMIT and budget is None:
         raise InputError(
             f"n={n} exceeds the exhaustive limit {EXHAUSTIVE_SIZE_LIMIT}; "

@@ -153,6 +153,41 @@ def brute_interval_ranges(sigma: Permutation) -> np.ndarray:
     return table
 
 
+def int64_prefix_table(sigma: Permutation) -> np.ndarray:
+    """q[t, j] = n #{x < t : sigma(x) <= j} - t (j + 1) for 0 <= t < n, in
+    int64, one row of counts at a time."""
+    n = sigma.n
+    below = np.zeros((n, n), dtype=np.int64)
+    for t in range(1, n):
+        below[t] = below[t - 1]
+        below[t, sigma.images[t - 1]:] += 1
+    return n * below - np.arange(n)[:, None] * np.arange(1, n + 1)
+
+
+def table_sampled_bound(sigma: Permutation, starts) -> int:
+    """The largest range of q[t] - q[s] over every row t and every start s,
+    from the whole int64 table."""
+    q = int64_prefix_table(sigma)
+    best = 0
+    for s in starts:
+        g = q - q[s]
+        best = max(best, int((g.max(axis=1) - g.min(axis=1)).max()))
+    return best
+
+
+def whole_text_integers(text: str) -> list:
+    """The integers of a permutation or set text, split as a whole, or the
+    message of the first token that is not one."""
+    tokens = text.replace(",", " ").split()
+    for i, tok in enumerate(tokens):
+        try:
+            int(tok)
+        except ValueError:
+            return f"token {tok[:40]!r}{'...' if len(tok) > 40 else ''} at index {i} " \
+                   "is not an integer"
+    return [int(tok) for tok in tokens]
+
+
 def row_scan_perm_discrepancy(sigma: Permutation) -> PermDiscrepancyReport:
     """The full report of D, d and d' by one row scan per start over an
     int64 prefix table, for sizes where brute_perm_discrepancy is too slow.
@@ -165,11 +200,7 @@ def row_scan_perm_discrepancy(sigma: Permutation) -> PermDiscrepancyReport:
     profile's first minimum to its first maximum.
     """
     n = sigma.n
-    below = np.zeros((n, n), dtype=np.int64)
-    for t in range(1, n):
-        below[t] = below[t - 1]
-        below[t, sigma.images[t - 1]:] += 1
-    q = n * below - np.arange(n)[:, None] * np.arange(1, n + 1)
+    q = int64_prefix_table(sigma)
 
     def witness(a, b):
         g = [int(v) for v in q[b] - q[a]]

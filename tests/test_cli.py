@@ -434,6 +434,35 @@ def test_a_long_bad_token_is_cut_in_the_message(tmp_path, capsys, command, flag,
     assert f" {shown}... " in err
 
 
+LONG = "9" * 4000  # an integer under int()'s 4300-digit limit
+
+LONG_FLAGS = {
+    "search-symmetric --n": ["search-symmetric", "--n", LONG, "--m", "2"],
+    "search-symmetric --budget": ["search-symmetric", "--n", "12", "--m", "2",
+                                  "--budget", "-" + LONG],
+    "matrix --m": ["matrix", "--m", LONG],
+    "matrix --m below 1": ["matrix", "--m", "-" + LONG],
+    "pattern-count --m below 1": ["pattern-count", "--perm", "{perm}", "--m", "-" + LONG],
+    "pattern-count --m": ["pattern-count", "--perm", "{perm}", "--m", LONG],
+    "analyze-perm --sample": ["analyze-perm", "--perm", "{perm}", "--sample", "-" + LONG],
+    "random-stats --n": ["random-stats", "--n", LONG],
+    "random-stats --threads": ["random-stats", "--n", "8", "--threads", "-" + LONG],
+    "random-stats --trials": ["random-stats", "--n", "8", "--trials", LONG],
+    "construct --n": ["construct", "--n", LONG, "--k", "2"],
+    "construct --k": ["construct", "--n", "2", "--k", LONG],
+}
+
+
+@pytest.mark.parametrize("argv", LONG_FLAGS.values(), ids=LONG_FLAGS)
+def test_a_long_flag_value_is_cut_in_the_message(capsys, perm_file, argv):
+    assert dispatch([arg.format(perm=perm_file) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 200, err[:300]
+    # cut to 40 characters, a minus sign included
+    assert "9" * 39 + "..." in err
+
+
 def _subcommand_usage(name: str) -> str:
     """The usage text of one subcommand's own parser."""
     (subcommands,) = [a for a in cli.build_parser()._actions

@@ -249,6 +249,43 @@ def test_mc_discrepancy_stats_size_limit_raises_before_drawing():
     assert peak < 1 << 20
 
 
+def test_mc_discrepancy_stats_work_guard_admits_its_limit(monkeypatch):
+    # the trials are stubbed out, as in the pool test: only the guard is
+    # under test
+    monkeypatch.setattr(construct, "_trial_discrepancy", lambda task: task[0])
+    n = 4096
+    trials = construct.MAX_MC_CELLS // discrepancy_cells(n)
+    assert mc_discrepancy_stats(n, trials, seed=0).trials == trials
+    with pytest.raises(InputError, match="cells of D, beyond the limit"):
+        mc_discrepancy_stats(n, trials + 1, seed=0)
+    # reaching it exactly is admitted
+    monkeypatch.setattr(construct, "MAX_MC_CELLS", 3 * discrepancy_cells(12))
+    assert mc_discrepancy_stats(12, 3, seed=0).trials == 3
+    with pytest.raises(InputError, match=f"4 trials at size 12 take {4 * discrepancy_cells(12)}"):
+        mc_discrepancy_stats(12, 4, seed=0)
+
+
+def test_mc_discrepancy_stats_trial_guard_admits_its_limit(monkeypatch):
+    # n = 1 has no cells, so only the trial count bounds it
+    monkeypatch.setattr(construct, "_trial_discrepancy", lambda task: 0)
+    monkeypatch.setattr(construct, "MAX_TRIALS", 5)
+    assert mc_discrepancy_stats(1, 5, seed=0).trials == 5
+    with pytest.raises(InputError, match="^6 trials exceed the limit 5$"):
+        mc_discrepancy_stats(1, 6, seed=0)
+
+
+def test_mc_discrepancy_stats_refuses_huge_trials_before_listing_them():
+    tracemalloc.start()
+    try:
+        for n in (1, 2, 4096):
+            with pytest.raises(InputError, match="trials exceed the limit"):
+                mc_discrepancy_stats(n, 10 ** 30, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_mc_discrepancy_stats_rejects_threads_below_one(threads):
     with pytest.raises(InputError, match=f"threads must be at least 1, got {threads}"):

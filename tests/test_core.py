@@ -1,8 +1,11 @@
 import pickle
+import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quasiperm import core
 from quasiperm.core import (
     MAX_SET_MODULUS,
     CyclicInterval,
@@ -19,7 +22,7 @@ from quasiperm.core import (
     sym_abs,
 )
 
-from oracles import brute_components
+from oracles import brute_components, whole_text_integers
 
 
 def test_sym_abs_symmetric_representative():
@@ -167,3 +170,89 @@ def test_input_error_pickles():
     # a refusal raised in a process pool worker comes back pickled
     err = pickle.loads(pickle.dumps(InputError("moduli differ: 4 vs 5")))
     assert type(err) is InputError and err.args == ("moduli differ: 4 vs 5",)
+
+
+def _parsed(parse, text):
+    """What parse reads from text: the integers, as a list, or the message
+    it refuses the text with."""
+    try:
+        result = parse(text)
+    except InputError as exc:
+        return str(exc)
+    if isinstance(result, Permutation):
+        return list(result.images)
+    return sorted(result.members) if isinstance(result, ZnSubset) else list(result)
+
+
+# Texts whose tokens and separators fall on every side of small slice sizes
+BOUNDARY_TEXTS = {
+    "spaces": "3 0 1 2",
+    "commas": "3,0,1,2",
+    "mixed": "3 , 0,,1 ,2",
+    "padded": "  3 0 1 2  ",
+    "outer commas": ",3 0 1 2,",
+    "line ends": "\n3\t0\r\n1 2\n",
+    "two digits": "10 0 1 2 3 4 5 6 7 8 9 11",
+    "unicode spaces": "0\u20031\x852\u30003\xa04\x1c5",
+    "unicode padding": "\u2003 0 1 \u2028",
+    "long first token": "12345678 " + " ".join(map(str, range(101))),
+    "one long token": "1" * 40,
+}
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 8, 16])
+@pytest.mark.parametrize("text", BOUNDARY_TEXTS.values(), ids=BOUNDARY_TEXTS)
+def test_parsers_read_each_slice_size_as_the_whole_text(monkeypatch, size, text):
+    whole = [_parsed(parse_permutation, text), _parsed(parse_set, "200: " + text)]
+    monkeypatch.setattr(core, "_SLICE", size)
+    assert _parsed(core._integers, text) == whole_text_integers(text)
+    assert [_parsed(parse_permutation, text), _parsed(parse_set, "200: " + text)] == whole
+
+
+@pytest.mark.parametrize("size", [1, 3, 8, 1 << 14])
+def test_a_bad_token_in_a_later_slice_keeps_its_message_and_index(monkeypatch, size):
+    monkeypatch.setattr(core, "_SLICE", size)
+    images = [str(v) for v in range(200)]
+    for index, bad in ((150, "1x"), (199, "9" * 5000), (0, "-")):
+        tokens = images[:index] + [bad] + images[index + 1:]
+        for text in (" ".join(tokens), ",".join(tokens) + "\n"):
+            message = whole_text_integers(text)
+            assert message.endswith(f"at index {index} is not an integer")
+            assert _parsed(parse_permutation, text) == message
+            assert _parsed(parse_set, "300: " + text) == message
+
+
+@pytest.mark.parametrize("size", [1, 2, 1 << 14])
+@pytest.mark.parametrize("text", ["", " ", ",", " , \n", "\u2003\x85 ", ",,,,,,,,,,"])
+def test_empty_or_separator_only_text_is_empty_input(monkeypatch, size, text):
+    monkeypatch.setattr(core, "_SLICE", size)
+    with pytest.raises(InputError, match="^empty input$"):
+        parse_permutation(text)
+    assert parse_set("5:" + text) == ZnSubset.empty(5)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(text=st.text(st.sampled_from("0123456789, \n\u2003\x85-x"), max_size=60),
+       size=st.integers(1, 9))
+def test_fuzzed_text_splits_as_the_whole_text_does(text, size):
+    old = core._SLICE
+    core._SLICE = size
+    try:
+        assert _parsed(core._integers, text) == whole_text_integers(text)
+    finally:
+        core._SLICE = old
+
+
+def test_parse_permutation_holds_little_beyond_its_result():
+    images = list(range(10 ** 5))
+    random.Random(7).shuffle(images)
+    text = " ".join(map(str, images))
+    tracemalloc.start()
+    try:
+        sigma = parse_permutation(text)
+        result, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(sigma.images) == images
+    # the result, a tuple and 10^5 int objects, is about 3.6 MB
+    assert peak - result <= 1.5 * 10 ** 6, (result, peak)

@@ -200,6 +200,38 @@ def test_build_pattern_matrices_returns_fresh_arrays():
     assert build_pattern_matrices(4).B.tolist() == [list(row) for row in brute_B(4)]
 
 
+def test_gram_matrix_equals_the_integer_product():
+    for m in range(1, 6):
+        mats = build_pattern_matrices(m)
+        assert mats.A.dtype == np.int64
+        assert (mats.A == mats.B.T @ mats.B).all(), m
+
+
+def test_inversions_match_the_pair_count():
+    for n in range(8):
+        for images in itertools.permutations(range(n)):
+            assert patterns._inversions(images) == oracles.brute_inversions(images)
+    rng = random.Random(37)
+    for n in (15, 16, 17, 255, 256, 257, 1000):
+        images = list(range(n))
+        rng.shuffle(images)
+        assert patterns._inversions(images) == oracles.brute_inversions(images), n
+    assert patterns._inversions(tuple(range(999, -1, -1))) == 1000 * 999 // 2
+
+
+def test_inversions_at_1e5_stay_within_4_mb():
+    # the int32 keys of 2^17 slots take 0.5 MB; the values as one intp array
+    # take 0.8 MB
+    sigma = random_permutation(10 ** 5, 41)
+    tracemalloc.start()
+    try:
+        patterns._inversions(sigma.images)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 10 ** 6, peak
+
+
 def test_rank_and_connectivity_do_not_import_numpy():
     script = ("import sys\n"
               "from quasiperm.patterns import occurrence_graph_connected, rank_of_B\n"

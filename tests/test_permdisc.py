@@ -4,6 +4,7 @@ import tracemalloc
 from fractions import Fraction
 from math import comb, exp, factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,7 +36,9 @@ from oracles import (
     brute_interval_ranges,
     brute_perm_discrepancy,
     brute_restricted_max,
+    int64_prefix_table,
     row_scan_perm_discrepancy,
+    table_sampled_bound,
 )
 from fresh import run_fresh
 
@@ -416,6 +419,41 @@ def test_column_scan_stays_within_two_int16_tables_and_a_block():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 10 ** 6, peak
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 362, 363, 1024])
+def test_array_sampled_bound_matches_the_whole_table(n):
+    # 8 starts fit one block's rows; at n = 1024 a block holds 64 rows, so
+    # 200 draws take their starts in groups
+    sigma = random_permutation(n, 31 * n + 1)
+    for samples in (1, 8, 200):
+        rng = random.Random(samples)
+        starts = {rng.randrange(n) for _ in range(samples)}
+        assert permdisc._array_sampled(sigma, starts) == table_sampled_bound(sigma, starts)
+
+
+@pytest.mark.parametrize("n, limit", [(1024, 1.5 * 10 ** 6), (4096, 4 * 10 ** 6)])
+def test_sampled_bound_and_restricted_read_rows_in_blocks(monkeypatch, n, limit):
+    # neither holds an n x n array: 4 MB at n = 1024 and 67 MB at 4096 in int32
+    monkeypatch.setattr(permdisc, "_lists_pay", lambda cells: False)
+    sigma = random_permutation(n, 89)
+    for call in (lambda s: sampled_discrepancy_lower_bound(s, 8, 3), restricted_discrepancies):
+        tracemalloc.start()
+        try:
+            call(sigma)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, peak
+
+
+def test_row_blocks_of_every_height_make_the_whole_table():
+    for n in (1, 2, 7, 33, 363):
+        sigma = random_permutation(n, n)
+        table = int64_prefix_table(sigma)
+        for rows in (1, 2, 5, n):
+            blocks = [b.astype(np.int64) for b in permdisc._row_blocks(sigma, rows)]
+            assert (np.concatenate(blocks) == table).all(), (n, rows)
 
 
 def test_size_limit_raises_before_allocating():
