@@ -19,6 +19,17 @@ from .core import scaled_discrepancy_in  # still served as balance.scaled_discre
 # balance_certificate costs O(n^2 log n): one FFT per interval length
 MAX_CERTIFICATE_SIZE = 4096
 
+# Cells in one block of rows of the certificate's dilation counts and of
+# its interval FFTs.  Blocks cut the per-row cost of numpy calls, which
+# dominates at small n; at large n the FFTs dominate.  On a 2-core x86-64
+# host the certificate of a random half set took 0.16 against 0.31 ms at
+# n = 16, 4.4 against 11.4 ms at 512 and 76 against 96 ms at 2048 with one
+# row at a time (fastest of 9-100 calls).  FFT blocks of 2^13 cells, two
+# rows at n = 4096, took 1.6x as long there as one row at a time, so they
+# hold 2^12 cells, one row at that n.
+_COUNT_CELLS = 1 << 14
+_FFT_CELLS = 1 << 12
+
 
 def _weights(s: ZnSubset) -> np.ndarray:
     return np.asarray(s.indicator(), dtype=np.int64)
@@ -36,10 +47,23 @@ def max_interval_discrepancy(s: ZnSubset) -> tuple:
     return profile_witness(_prefix_profile(_weights(s), s.size).tolist())
 
 
-def _dilated_discrepancy(n: int, members: np.ndarray, k: int) -> int:
-    """n * D(kS) from the members of S: the range of the profile of kS."""
-    g = _prefix_profile(np.bincount(k % n * members % n, minlength=n), len(members))
-    return int(g.max() - g.min())
+def _by_blocks(kernel, rows: np.ndarray, n: int, cells: int) -> np.ndarray:
+    """kernel(rows), run on blocks of rows of about `cells` cells of length
+    n and joined; an empty `rows` is one empty block."""
+    step = max(1, cells // n)
+    return np.concatenate([kernel(rows[i:i + step]) for i in range(0, len(rows) or 1, step)])
+
+
+def _dilated_discrepancies(n: int, members: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """n * D(kS) for each k of ks, 0 <= k < n, from the members of S: the
+    ranges of the profiles of the kS, counted by one bincount over all."""
+    rows = n * np.arange(len(ks))[:, None]
+    g = np.bincount((ks[:, None] * members % n + rows).ravel(),
+                    minlength=len(ks) * n).reshape(len(ks), n)
+    np.cumsum(g, axis=1, out=g)
+    g *= n
+    g -= len(members) * np.arange(1, n + 1, dtype=np.int64)
+    return g.max(axis=1) - g.min(axis=1)
 
 
 def _members(s: ZnSubset) -> np.ndarray:
@@ -50,7 +74,7 @@ def multiple_discrepancy(s: ZnSubset, k: int) -> int:
     """n * D(kS) where kS is the multiset {k*x : x in S}."""
     if k % s.n == 0:
         raise InputError("k must be nonzero mod n")
-    return _dilated_discrepancy(s.n, _members(s), k)
+    return int(_dilated_discrepancies(s.n, _members(s), np.array([k % s.n]))[0])
 
 
 def fourier_spectrum(s: ZnSubset) -> np.ndarray:
@@ -98,23 +122,39 @@ def interval_spectrum_magnitudes(n: int, length: int) -> np.ndarray:
     """|J~(k)| for an interval of the given length; independent of start."""
     if not 0 <= length <= n:
         raise InputError(f"length {length} outside [0, {n}]")
-    w = np.zeros(n)
-    w[:length] = 1.0
-    return np.abs(np.fft.fft(w))
+    return _interval_magnitudes(_interval_indicators(n), np.array([length]))[0]
 
 
-def _translation_sum(smags2: np.ndarray, length: int) -> float:
-    """sum_{k!=0} |S~(k)|^2 |J~(k)|^2 / n for any J of the given length,
-    from smags2[k-1] = |S~(k)|^2."""
-    n = len(smags2) + 1
-    return float(np.sum(smags2 * interval_spectrum_magnitudes(n, length)[1:] ** 2) / n)
+def _interval_indicators(n: int) -> np.ndarray:
+    """The read-only (n + 1) x n view whose row n - L is the indicator of
+    the interval [0, L) in floats."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    return sliding_window_view(np.concatenate([np.ones(n), np.zeros(n)]), n)
+
+
+def _interval_magnitudes(indicators: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """|J~(k)| for an interval of each of the lengths, a row each, from
+    _interval_indicators: one FFT along the rows of their indicators."""
+    return np.abs(np.fft.fft(indicators[len(indicators) - 1 - lengths], axis=1))
+
+
+def _translation_sums(smags2: np.ndarray, indicators: np.ndarray,
+                      lengths: np.ndarray) -> np.ndarray:
+    """sum_{k!=0} |S~(k)|^2 |J~(k)|^2 / n for a J of each of the lengths,
+    from smags2[k-1] = |S~(k)|^2 and _interval_indicators.  Each row is
+    summed on its own, so each value is the one a single length gives, bit
+    for bit."""
+    return (np.sum(smags2 * _interval_magnitudes(indicators, lengths)[:, 1:] ** 2, axis=1)
+            / indicators.shape[1])
 
 
 def translation_statistic(s: ZnSubset, j: CyclicInterval) -> float:
     """Sum over k of (|S & (J+k)| - |S||J|/n)^2, by the spectral identity
     sum_{k!=0} |S~(k) J~(-k)|^2 / n."""
     _check_moduli(s.n, j.n)
-    return _translation_sum(np.abs(fourier_spectrum(s))[1:] ** 2, j.length)
+    return float(_translation_sums(np.abs(fourier_spectrum(s))[1:] ** 2,
+                                   _interval_indicators(s.n), np.array([j.length]))[0])
 
 
 class BalanceCertificate(Record):
@@ -148,7 +188,10 @@ def balance_certificate(s: ZnSubset) -> BalanceCertificate:
     """Evaluate every balance statistic and the proof-level implications.
 
     One prefix profile gives [B]; one pass over the dilations k <= n/2
-    gives n*D(kS) for [MB]; one FFT of S gives [E], [S] and [T].
+    gives n*D(kS) for [MB]; one FFT of S gives [E], [S] and, with one FFT
+    of an interval of each length 1..n-1, [T].  The dilations are counted
+    and the interval FFTs taken in blocks of rows, each row exactly as a
+    single row would be, so eps_T is the same to the last bit.
 
     [PB] asks for the least eps with D_T(S) <= eps * c(T) for every T that
     is a union of c(T) disjoint intervals J_1..J_c.  The intersection count
@@ -168,8 +211,9 @@ def balance_certificate(s: ZnSubset) -> BalanceCertificate:
     # |n-k| = |k|: the ratios are symmetric and k <= n/2, where |k| = k,
     # holds every value and the first maximum.
     members = _members(s)
-    dilated = np.array([_dilated_discrepancy(n, members, k)
-                        for k in range(1, n // 2 + 1)], dtype=np.int64)
+    ks = np.arange(1, n // 2 + 1)
+    dilated = _by_blocks(lambda block: _dilated_discrepancies(n, members, block), ks, n,
+                         _COUNT_CELLS)
     ratios = [Fraction(int(d), n * n * k) for k, d in enumerate(dilated, 1)]
     eps_mb = max(ratios, default=Fraction(0))
     witness_mb = ratios.index(eps_mb) + 1 if eps_mb else 0
@@ -179,15 +223,14 @@ def balance_certificate(s: ZnSubset) -> BalanceCertificate:
     eps_e_half = stat_e / n
     eps_s = _ratio_square_sum(mags) / n ** 2
 
-    # [T]: the translation sum depends on J only through |J|
-    eps_t = 0.0
-    witness_t_len = 0
+    # [T]: the translation sum depends on J only through |J|; the first
+    # length attaining the largest positive value is the witness
     smags2 = mags[1:] ** 2
-    for length in range(1, n):
-        val = _translation_sum(smags2, length) / n ** 3
-        if val > eps_t:
-            eps_t = val
-            witness_t_len = length
+    indicators = _interval_indicators(n)
+    vals = _by_blocks(lambda block: _translation_sums(smags2, indicators, block),
+                      np.arange(1, n), n, _FFT_CELLS) / n ** 3
+    witness_t_len = int(np.argmax(vals)) + 1 if vals.any() else 0
+    eps_t = float(vals[witness_t_len - 1]) if witness_t_len else 0.0
 
     return BalanceCertificate(
         n=n, size=s.size,

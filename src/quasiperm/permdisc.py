@@ -28,20 +28,44 @@ loads numpy and takes the array scan.  That is rent-or-buy (Karlin,
 Manasse, Rudolph & Sleator 1988): a process never pays much more than
 twice the better of the two.  Only the time differs, never the answer.
 
-The array scan of D holds all of q and a scan buffer as large.  d and the
-sampled bound hold no n x n array: they read q in blocks of about
-_ROW_CELLS cells, each block made from the row before it.  The sampled
-bound makes the rows of its starts straight from their counts, a block's
-worth of starts at a time, and scans every block of q against them, so a
-group of starts costs n^2 more for the rows.  It holds three blocks and
-O(n) more, 0.6 MB at n = 1024 and 0.8 MB at 4096, where q alone takes 4
-and 67 MB.
+The array scan of D on an int16 table holds q, its transpose and blocks
+of about 1 MB.  The array scans of D on an int32 table (n > 362) and of
+the sampled bound are pruned coarse to fine.  The profile g of I = (a, L) moves by -L or n - L
+from one column to the next, and it is 0 at j = n - 1 and, as the empty
+prefix, at j = -1.  The coarse table keeps the columns B - 1, 2B - 1, ...
+and n - 1 of q, B = _COARSE, so two kept columns c < c' (or -1 and B - 1)
+are k <= B steps apart.  Between them g(c + i) <= g(c) + i (n - L) and
+g(c + i) <= g(c') + (k - i) L, so g rises above the larger end by at most
+the two lines' crossing, k L (n - L) / n, and falls below the smaller end
+by as much.  The range over all columns is therefore at most the range
+over the kept columns plus 2 B L (n - L) / n, and, both being integers,
+plus that value's floor, slack(L).  The coarse range is a range over some
+columns, so it is also at most the true range.
+
+D takes row 0 exactly, which d and d' need anyway, as its first best.  It
+then takes the coarse range plus slack of every pair, a block of starts at
+a time, and rescans exactly, in (a, b) order, only the pairs whose bound
+beats the best so far; no other pair can beat it, so the first maximal
+pair stays the witness.  On a random sigma at n = 1024 fewer than 0.2% of
+the pairs are rescanned.  The scan holds q, its coarse columns, a block of
+1 MB of coarse cells (or one start's, if more) and the rows of _ROW_CELLS
+rescanned cells: 6.6 MB at n = 1024 and 101 MB at 4096, where the
+unpruned scan held q and a scan buffer as large, 8.4 and 134 MB.
+
+d and the sampled bound hold no n x n array: they read q in blocks of
+about _ROW_CELLS cells, each block made from the row before it.  The
+sampled bound bounds every pair of a start and a row from the coarse
+rows, made the same way on the kept columns only, and so learns the best
+coarse range, a lower bound on its answer.  It then makes the rows of the
+pairs whose bound beats the best so far straight from their counts,
+largest bound first, until no bound does.  With 8 starts it holds
+1.2 MB at n = 1024 and 1.4 MB at 4096, where q alone takes 4 and 67 MB.
 
 Every entry of q and every row difference is n * c - L * (j + 1) with
 max(0, L + j + 1 - n) <= c <= min(L, j + 1), so |q| <= n^2 / 4.  The
 array table is int16 while n^2 < 2^17 (n <= 362) and int32 above; ranges
 are taken in int32.  With an int16 table D is scanned by columns, over
-blocks of starts; with an int32 table, by rows, one start at a time.
+blocks of starts; with an int32 table, pruned coarse to fine.
 """
 
 from __future__ import annotations
@@ -61,12 +85,19 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-# Largest n the exact scans accept: the prefix table and the scan buffer
-# then take about 67 MB each.
+# Largest n the exact scans accept: the prefix table then takes about 67 MB.
 MAX_DISCREPANCY_SIZE = 4096
 
-# Elements in one block of the column scan, 1 MB of int16.
+# Elements in one block of the column scan, 1 MB of int16; the coarse
+# scan of D takes blocks of the same 1 MB in int32.
 _BLOCK = 1 << 19
+
+# Steps between two kept columns of the coarse table.  On a 2-core x86-64
+# host, D of a random sigma took 11, 170 and 1180 ms at n = 384, 1024 and
+# 2048 with B = 4.  B = 2 was 1.3-2x slower at each size.  B = 8 was faster
+# on a random sigma from n = 1024 on, but took 1.6-2x as long on the digit
+# reversal 2^10, whose D is of the order of the slack.
+_COARSE = 4
 
 # Cells in one block of rows of q that d and the sampled bound read: 256 KB
 # of int32, so that a block and its scan buffer stay within a 2 MB L2
@@ -165,15 +196,18 @@ def _block_rows(n: int) -> int:
     return max(1, _ROW_CELLS // n)
 
 
-def _row_blocks(sigma: Permutation, rows: int):
+def _row_blocks(sigma: Permutation, rows: int, cols: np.ndarray | None = None):
     """The rows of the table q of the module docstring in numpy, in blocks
-    of `rows` rows.  Each block is built in place in one buffer, which the
-    next block overwrites, from the row before it: row t + 1 is row t minus
-    j + 1, plus n from column sigma(t) on."""
+    of `rows` rows, on the increasing columns `cols`, which end at n - 1
+    (all columns by default).  Each block is built in place in one buffer,
+    which the next block overwrites, from the row before it: row t + 1 is
+    row t minus j + 1 in column j, plus n from column sigma(t) on."""
     import numpy as np
 
     n = sigma.n
     _check_size(n)
+    if cols is None:
+        cols = np.arange(n)
     # An entry or row difference n * c - L * (j + 1), with c in
     # [max(0, L + j + 1 - n), min(L, j + 1)], is at most L (n - L) <= n^2 / 4
     # in size, and both cumsums pass only through such values.  numpy wraps
@@ -182,11 +216,14 @@ def _row_blocks(sigma: Permutation, rows: int):
     # same bound, but ranges are taken in int32 so that only the table
     # rests on it.
     dtype = _table_dtype(n)
-    images = np.asarray(sigma.images, dtype=np.intp)
-    buf = np.empty((min(rows, n), n), dtype=dtype)
+    # a step adds n from the first kept column at or above sigma(t) on and
+    # takes from each kept column the columns since the one before it
+    images = np.searchsorted(cols, sigma.images)
+    steps = -np.diff(cols, prepend=-1)
+    buf = np.empty((min(rows, n), len(cols)), dtype=dtype)
     for t0 in range(0, n, rows):
         block = buf[:min(rows, n - t0)]
-        block.fill(-1)
+        block[:] = steps
         # row i of the block is row t0 - 1 plus the steps from t0 - 1 to
         # t0 + i - 1, and row 0 of q is 0
         first = 1 if t0 == 0 else 0
@@ -205,7 +242,8 @@ def _prefix_table(sigma: Permutation) -> np.ndarray:
 
 
 def _ranges(rows: np.ndarray, base: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """int32 ranges of the profiles rows[i] - base, computed in out."""
+    """int32 ranges of the profiles rows[i] - base, or rows[i] - base[i]
+    for a base of one row each, computed in out."""
     import numpy as np
 
     g = np.subtract(rows, base, out=out[:len(rows)])
@@ -235,6 +273,37 @@ def _list_scan(sigma: Permutation) -> tuple:
     return q.__getitem__, pair, row0
 
 
+def _coarse_columns(n: int) -> np.ndarray:
+    """The kept columns of the coarse table: B - 1, 2B - 1, ... and n - 1."""
+    import numpy as np
+
+    return np.append(np.arange(_COARSE - 1, n - 1, _COARSE), n - 1)
+
+
+def _slack_table(n: int) -> np.ndarray:
+    """The read-only n x n view slack[a, b] = slack((b - a) mod n), the
+    module docstring's bound on the range of a profile above its coarse
+    range, for the pair of rows (a, b)."""
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    length = np.arange(n, dtype=np.int64)
+    slack = (2 * _COARSE * length * (n - length) // n).astype(np.int32)
+    # row a of the reversed windows starts at slack((-a) mod n)
+    return sliding_window_view(slack[np.arange(1 - n, n) % n], n)[::-1]
+
+
+def _pair_ranges(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """int32 ranges of the profiles q[b[i]] - q[a[i]], for at least one
+    pair, gathered a block of _ROW_CELLS cells at a time."""
+    import numpy as np
+
+    rows = _block_rows(q.shape[1])
+    g = np.empty((min(rows, len(a)), q.shape[1]), q.dtype)
+    return np.concatenate([_ranges(q[b[i:i + rows]], q[a[i:i + rows]], g)
+                           for i in range(0, len(a), rows)])
+
+
 def _array_scan(sigma: Permutation) -> tuple:
     """(row, pair, row0) for D by the array scan, as for _list_scan.
 
@@ -242,8 +311,10 @@ def _array_scan(sigma: Permutation) -> tuple:
     on make one (n, s, n - a0) buffer of profiles, reduced along the
     values, and later blocks fit in the first one's buffer.  A block also
     holds the pairs b < a, negations of the earlier pairs (b, a), so its
-    first maximum is never one of them.  An int32 table is scanned by
-    rows, one start at a time, where columns measured slower.
+    first maximum is never one of them.  An int32 table is pruned coarse
+    to fine, as the module docstring says, where an unpruned scan by rows
+    took 2-3x as long from n = 1024 on; its coarse blocks are laid out as
+    the column scan's, on the kept columns.
     """
     import numpy as np
 
@@ -267,14 +338,29 @@ def _array_scan(sigma: Permutation) -> tuple:
                 row0 = ranges[0]
             a0 += s
     else:
-        g = np.empty_like(q)
-        for a in range(n):
-            ranges = _ranges(q[a:], q[a], g)
-            b = int(np.argmax(ranges))
-            if ranges[b] > best:
-                best, pair = int(ranges[b]), (a, a + b)
-            if a == 0:
-                row0 = ranges
+        # row 0 of q is 0, so the profiles of row 0 are the rows of q
+        row0 = np.subtract(q.max(axis=1), q.min(axis=1), dtype=np.int32)
+        b = int(np.argmax(row0))
+        best, pair = int(row0[b]), (0, b)
+        cols = _coarse_columns(n)
+        qct = q.T[cols]
+        slack = _slack_table(n)
+        buf = np.empty(max(_BLOCK // 2, len(cols) * n), np.int32)
+        a0 = 1
+        while a0 < n:
+            w = n - a0
+            s = max(1, min(w, len(buf) // (len(cols) * w)))
+            g = np.subtract(qct[:, None, a0:], qct[:, a0:a0 + s, None],
+                            out=buf[:len(cols) * s * w].reshape(len(cols), s, w))
+            bound = np.subtract(g.max(axis=0), g.min(axis=0), dtype=np.int32)
+            bound += slack[a0:a0 + s, a0:]
+            i, k = np.nonzero(bound > best)
+            if len(i):
+                ranges = _pair_ranges(q, a0 + i, a0 + k)
+                m = int(np.argmax(ranges))
+                if ranges[m] > best:
+                    best, pair = int(ranges[m]), (a0 + int(i[m]), a0 + int(k[m]))
+            a0 += s
     return lambda t: q[t].tolist(), pair, row0.tolist()
 
 
@@ -394,7 +480,9 @@ def sampled_discrepancy_lower_bound(sigma: Permutation, samples: int,
     starts; 0 when samples <= 0.  Each distinct start is scanned once, and
     drawing stops once every start has been seen: the maximum over the same
     starts is the same, so the work is at most n scans of n rows.  The
-    scan is on lists or arrays, as the module docstring says."""
+    scan is on lists or arrays, as the module docstring says; the array
+    scan bounds each row against each start on the coarse columns and
+    rescans only the rows whose bound beats the best so far."""
     n = sigma.n
     _check_size(n)
     rng = random.Random(seed)
@@ -418,33 +506,54 @@ def _list_sampled(sigma: Permutation, starts: set) -> int:
 
 
 def _array_sampled(sigma: Permutation, starts: set) -> int:
-    """The sampled bound over `starts` by the array scan.  The rows of the
-    starts are made straight from their counts, a block's worth at a time,
-    and every block of rows of q is scanned against them."""
+    """The sampled bound over `starts` by the pruned array scan of the
+    module docstring, for a block's worth of starts at a time."""
     import numpy as np
 
     n = sigma.n
     rows = _block_rows(n)
-    g = np.empty((min(rows, n), n), dtype=_table_dtype(n))
+    cols = _coarse_columns(n)
+    coarse_rows = _block_rows(len(cols))
+    slack = _slack_table(n)
+    g = np.empty((min(coarse_rows, n), len(cols)), dtype=_table_dtype(n))
     order = sorted(starts)
     best = 0
     for i in range(0, len(order), rows):
-        bases = _start_rows(sigma, order[i:i + rows])
-        for block in _row_blocks(sigma, rows):
-            for base in bases:
-                best = max(best, int(_ranges(block, base, g).max()))
+        group = order[i:i + rows]
+        bases = _start_rows(sigma, group)
+        bounds = np.empty((len(group), n), dtype=np.int32)
+        t = 0
+        for block in _row_blocks(sigma, coarse_rows, cols):
+            for bound, base in zip(bounds, bases[:, cols]):
+                bound[t:t + len(block)] = _ranges(block, base, g)
+            t += len(block)
+        best = max(best, int(bounds.max()))
+        bounds += slack[group]
+        pairs = np.flatnonzero(bounds > best)
+        pairs = pairs[np.argsort(bounds.flat[pairs], kind="stable")[::-1]]
+        for j in range(0, len(pairs), rows):
+            chunk = pairs[j:j + rows]
+            chunk = chunk[bounds.flat[chunk] > best]
+            if not len(chunk):
+                break
+            k, t = np.divmod(chunk, n)
+            exact = _start_rows(sigma, t)
+            best = max(best, int(_ranges(exact, bases[k], exact).max()))
     return best
 
 
-def _start_rows(sigma: Permutation, starts: list) -> np.ndarray:
-    """Rows `starts` of q, each n * cumsum(bincount(sigma[:s])) - s * (j + 1),
-    in the dtype of _row_blocks."""
+def _start_rows(sigma: Permutation, starts) -> np.ndarray:
+    """Rows `starts` of q in the dtype of _row_blocks, straight from their
+    counts: row s is the cumsum over j of n [sigma^-1(j) < s] - s, whose
+    terms are at most n and whose partial sums are entries of q in size."""
     import numpy as np
 
     n = sigma.n
-    images = np.asarray(sigma.images[:max(starts)], dtype=np.intp)
-    columns = np.arange(1, n + 1)
-    out = np.empty((len(starts), n), dtype=_table_dtype(n))
-    for row, s in zip(out, starts):
-        row[:] = n * np.cumsum(np.bincount(images[:s], minlength=n)) - s * columns
-    return out
+    dtype = _table_dtype(n)
+    where = np.empty(n, dtype=np.intp)
+    where[np.asarray(sigma.images, dtype=np.intp)] = np.arange(n)
+    starts = np.asarray(starts, dtype=dtype)[:, None]
+    out = np.less(where, starts).astype(dtype)
+    out *= n
+    out -= starts
+    return np.cumsum(out, axis=1, out=out)

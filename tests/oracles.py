@@ -271,6 +271,32 @@ def brute_B(m: int) -> tuple:
     return tuple(map(tuple, b))
 
 
+def dilation_discrepancies_by_k(s: ZnSubset) -> list:
+    """n D(kS) for k = 1..n/2, one bincount and one prefix profile of kS
+    per k."""
+    n = s.n
+    members = np.fromiter(s.members, dtype=np.int64, count=s.size)
+    out = []
+    for k in range(1, n // 2 + 1):
+        g = (n * np.cumsum(np.bincount(k * members % n, minlength=n))
+             - s.size * np.arange(1, n + 1, dtype=np.int64))
+        out.append(int(g.max() - g.min()))
+    return out
+
+
+def translation_sums_by_length(s: ZnSubset) -> list:
+    """sum_{k!=0} |S~(k)|^2 |J~(k)|^2 / n for an interval J of each length
+    1..n-1, one FFT of J's indicator per length."""
+    n = s.n
+    smags2 = np.abs(np.fft.fft(np.asarray(s.indicator(), dtype=np.float64)))[1:] ** 2
+    sums = []
+    for length in range(1, n):
+        w = np.zeros(n)
+        w[:length] = 1.0
+        sums.append(float(np.sum(smags2 * np.abs(np.fft.fft(w))[1:] ** 2) / n))
+    return sums
+
+
 def brute_translation(s: ZnSubset, j: CyclicInterval) -> float:
     """Sum over shifts a of (|S∩(J+a)| - |S||J|/n)^2."""
     n = s.n

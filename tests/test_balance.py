@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quasiperm import balance
 from quasiperm.balance import (
     MAX_CERTIFICATE_SIZE,
     BalanceCertificate,
@@ -27,9 +28,11 @@ from oracles import (
     brute_piecewise_balance,
     brute_translation,
     brute_weighted_interval_max,
+    dilation_discrepancies_by_k,
     fourier_spectrum_direct,
     interval_witness_by_counting,
     translation_statistic_direct,
+    translation_sums_by_length,
 )
 
 
@@ -282,6 +285,46 @@ def test_multiple_balance_never_exceeds_a_quarter():
                 largest = max(largest, Fraction(d, n * n * k))
     assert largest == Fraction(1, 4) < math.pi / 8
     assert balance_certificate(ZnSubset(2, frozenset({0}))).eps_MB == Fraction(1, 4)
+
+
+def _assert_blocks_match_the_row_loops(s):
+    # the blocked [MB] and [T] kernels against one bincount per k and one
+    # FFT per length, compared with ==, floats included
+    n = s.n
+    cert = balance_certificate(s)
+    dilated = dilation_discrepancies_by_k(s)
+    ratios = [Fraction(d, n * n * k) for k, d in enumerate(dilated, 1)]
+    eps_mb = max(ratios, default=Fraction(0))
+    assert (cert.eps_MB, cert.witness_MB) == (eps_mb, ratios.index(eps_mb) + 1 if eps_mb else 0)
+    sums = translation_sums_by_length(s)
+    eps_t, witness_t = 0.0, 0
+    for length, total in enumerate(sums, 1):
+        if total / n ** 3 > eps_t:
+            eps_t, witness_t = total / n ** 3, length
+    assert (cert.eps_T, cert.witness_T_length) == (eps_t, witness_t)
+    assert cert.implication_checks == balance._implication_checks(
+        max_interval_discrepancy(s)[0], s.size, np.array(dilated, dtype=np.int64),
+        np.abs(fourier_spectrum(s)), eps_mb=eps_mb, eps_e_half=cert.eps_E_half,
+        eps_s=cert.eps_S, eps_t=eps_t)
+    for length in {1, n // 3, n - 1} & set(range(1, n)):
+        assert translation_statistic(s, CyclicInterval(n, 0, length)) == sums[length - 1]
+        assert multiple_discrepancy(s, length) == (dilated[length - 1] if length <= n // 2
+                                                   else dilated[n - length - 1])
+
+
+def test_certificate_blocks_match_the_row_loops_exhaustive():
+    for n in range(1, 11):
+        for mask in range(1 << n):
+            _assert_blocks_match_the_row_loops(
+                ZnSubset(n, frozenset(x for x in range(n) if mask >> x & 1)))
+
+
+@pytest.mark.parametrize("n", [16, 97, 512, 513, 1024])
+def test_certificate_blocks_match_the_row_loops_seeded(n):
+    # 513 and 1024 end the lengths and dilations in a part block
+    rng = random.Random(n)
+    for s in (random_subset(n, rng), random_subset(n, rng), ZnSubset.full(n)):
+        _assert_blocks_match_the_row_loops(s)
 
 
 ALL_CHECKS_HOLD = {"pb_implies_mb": True, "mb_implies_e_half": True,

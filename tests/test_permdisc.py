@@ -177,6 +177,53 @@ def test_perm_discrepancy_matches_the_row_scan_oracle():
                               row_scan_perm_discrepancy(sigma))
 
 
+@pytest.fixture
+def int32_table(monkeypatch):
+    # the pruned scan of an int32 table, which n > 362 takes, at any n
+    monkeypatch.setattr(permdisc, "_table_dtype", lambda n: np.int32)
+    monkeypatch.setattr(permdisc, "_lists_pay", lambda cells: False)
+
+
+def test_coarse_range_and_slack_bound_every_range():
+    # coarse range <= range <= coarse range + slack for every pair of rows,
+    # the inequality the pruned scans rest on
+    rng = random.Random(127)
+    corpus = [Permutation(images) for n in range(1, 7)
+              for images in itertools.permutations(range(n))]
+    corpus += [random_permutation(n, rng.randrange(10 ** 6)) for n in (9, 16, 31, 64, 100)]
+    corpus += [digit_reversal(2, 6), Permutation.identity(40)]
+    for sigma in corpus:
+        q = int64_prefix_table(sigma)
+        g = q[None, :, :] - q[:, None, :]
+        exact = g.max(axis=2) - g.min(axis=2)
+        coarse = g[:, :, permdisc._coarse_columns(sigma.n)]
+        coarse = coarse.max(axis=2) - coarse.min(axis=2)
+        assert (coarse <= exact).all() and (exact <= coarse + permdisc._slack_table(sigma.n)).all()
+
+
+def test_pruned_scan_matches_the_row_scan_oracle_exhaustive(int32_table):
+    # every tie of S_1..S_7 between a pair and a later one, within a block
+    # of starts and across blocks, keeps the first maximal pair
+    for n in range(1, 8):
+        for images in itertools.permutations(range(n)):
+            sigma = Permutation(images)
+            _assert_reports_equal(perm_discrepancy(sigma), row_scan_perm_discrepancy(sigma))
+
+
+def test_pruned_scan_matches_the_row_scan_oracle(int32_table):
+    # digit reversals and block products have many pairs near the maximum,
+    # so their bounds leave many pairs to rescan
+    rng = random.Random(113)
+    corpus = [random_permutation(n, rng.randrange(10 ** 6))
+              for n in (8, 13, 32, 50, 97, 128, 200, 256)]
+    corpus += [digit_reversal(2, k) for k in range(5, 9)]
+    corpus += [tensor_product([random_permutation(size, rng.randrange(10 ** 6))
+                               for size in sizes])
+               for sizes in ((4, 4, 4), (3, 5, 7), (8, 16), (2,) * 7)]
+    for sigma in corpus:
+        _assert_reports_equal(perm_discrepancy(sigma), row_scan_perm_discrepancy(sigma))
+
+
 def _scans_agree(sigma):
     lists = permdisc._report(sigma, permdisc._list_scan)
     _assert_reports_equal(lists, permdisc._report(sigma, permdisc._array_scan))
@@ -240,7 +287,7 @@ assert reports == [permdisc.perm_discrepancy(sigma) for sigma in sigmas]
 @pytest.mark.parametrize("n", [361, 362, 363])
 def test_discrepancy_at_the_int16_table_limit(n):
     # n <= 362 takes the int16 table and the column scan, n = 363 the
-    # int32 table and the row scan; the identity and the reversal reach
+    # int32 table and the pruned scan; the identity and the reversal reach
     # |q| = n^2 / 4, 32 761 at n = 362
     corpus = [Permutation.identity(n),
               Permutation(tuple(range(n - 1, -1, -1))),
@@ -255,7 +302,7 @@ def test_discrepancy_at_the_int16_table_limit(n):
                               (rep.scaled_d_prime, rep.witness_d_prime)):
             assert discrepancy_of_pair(sigma, i, j) == value
         assert perm_discrepancy(sigma.inverse()).scaled_D == rep.scaled_D
-        # every start is drawn, so the row scan gives D exactly
+        # every start is drawn, so the sampled bound is D exactly
         assert (sampled_discrepancy_lower_bound(sigma, 10 ** 6)
                 == rep.scaled_D)
 
@@ -383,30 +430,16 @@ def test_sampled_bound_work_is_bounded_by_the_starts():
 
 
 def test_exact_scans_stay_within_two_int32_tables():
-    # the n x n int32 prefix table and one scan buffer of the same size:
-    # about 8.4 MB at n = 1024
-    sigma = random_permutation(1024, 83)
-    for call in (perm_discrepancy, restricted_discrepancies):
-        tracemalloc.start()
-        try:
-            call(sigma)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * 10 ** 6, (call.__name__, peak)
-
-
-def test_restricted_discrepancies_stay_within_one_int32_table():
-    # the n x n int32 prefix table and two length-n vectors: about 4.2 MB
-    # at n = 1024
+    # the n x n int32 prefix table, its coarse columns, one coarse block and
+    # the rows of the pairs rescanned: about 7.9 MB at n = 1024
     sigma = random_permutation(1024, 83)
     tracemalloc.start()
     try:
-        restricted_discrepancies(sigma)
+        perm_discrepancy(sigma)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 10 ** 6, peak
+    assert peak < 10 * 10 ** 6, peak
 
 
 def test_column_scan_stays_within_two_int16_tables_and_a_block():
@@ -425,6 +458,17 @@ def test_column_scan_stays_within_two_int16_tables_and_a_block():
 def test_array_sampled_bound_matches_the_whole_table(n):
     # 8 starts fit one block's rows; at n = 1024 a block holds 64 rows, so
     # 200 draws take their starts in groups
+    sigma = random_permutation(n, 31 * n + 1)
+    for samples in (1, 8, 200):
+        rng = random.Random(samples)
+        starts = {rng.randrange(n) for _ in range(samples)}
+        assert permdisc._array_sampled(sigma, starts) == table_sampled_bound(sigma, starts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 362])
+def test_array_sampled_bound_on_an_int32_table_matches_the_whole_table(monkeypatch, n):
+    # the int32 table of n > 362, forced at small n
+    monkeypatch.setattr(permdisc, "_table_dtype", lambda n: np.int32)
     sigma = random_permutation(n, 31 * n + 1)
     for samples in (1, 8, 200):
         rng = random.Random(samples)
