@@ -204,7 +204,7 @@ def mc_discrepancy_stats(n: int, trials: int, seed: int,
     cores = os.cpu_count() or 1
     workers = min(cores if threads is None else threads, trials, cores)
     tasks = [(n, seed ^ t) for t in range(trials)]
-    if workers > 1 and trials * permdisc.discrepancy_cells(n) >= POOL_MIN_WORK:
+    if workers > 1 and cells >= POOL_MIN_WORK:
         from concurrent.futures import ProcessPoolExecutor
 
         # Loaded before the pool starts, as permdisc is, so forked workers

@@ -16,7 +16,7 @@ of the complement (b, n - b + a).  The range (max - min) of the profile is
 n * max_J D_J(sigma(I)) for both, and core.profile_witness gives it and
 the J.  So D is the largest range over the row pairs (a, b).
 
-D and the sampled bound have two scans of the same table, with the same
+D and the sampled bound scan one table on lists or on arrays, with the same
 answers and witnesses.  A cell is one row pair and one column, so D
 takes discrepancy_cells(n) and the sampled bound n^2 per start, plus n^2
 for the rows.  The list scan keeps q as n Python lists and costs 70-115
@@ -28,13 +28,17 @@ loads numpy and takes the array scan.  That is rent-or-buy (Karlin,
 Manasse, Rudolph & Sleator 1988): a process never pays much more than
 twice the better of the two.  Only the time differs, never the answer.
 
-The array scan of D on an int16 table holds q, its transpose and blocks
-of about 1 MB.  The array scans of D on an int32 table (n > 362) and of
-the sampled bound are pruned coarse to fine.  The profile g of I = (a, L) moves by -L or n - L
-from one column to the next, and it is 0 at j = n - 1 and, as the empty
-prefix, at j = -1.  The coarse table keeps the columns B - 1, 2B - 1, ...
-and n - 1 of q, B = _COARSE, so two kept columns c < c' (or -1 and B - 1)
-are k <= B steps apart.  Between them g(c + i) <= g(c) + i (n - L) and
+The array scan of D has one loop.  It takes row 0 exactly, which d and
+d' need anyway, as its first best, and then blocks of starts, each block
+the profiles of its pairs (a, b) on the kept columns of q, about 1 MB.
+On an int16 table (n <= 362) every column is kept, so a block's ranges
+are exact and its first maximum is compared with the best.  On an int32
+table D, and the sampled bound at every n, are pruned coarse to fine.
+The profile g of I = (a, L) moves by -L or n - L from one column to the
+next, and it is 0 at j = n - 1 and, as the empty prefix, at j = -1.  The
+coarse table keeps the columns B - 1, 2B - 1, ... and n - 1 of q,
+B = _COARSE, so two kept columns c < c' (or -1 and B - 1) are k <= B
+steps apart.  Between them g(c + i) <= g(c) + i (n - L) and
 g(c + i) <= g(c') + (k - i) L, so g rises above the larger end by at most
 the two lines' crossing, k L (n - L) / n, and falls below the smaller end
 by as much.  The range over all columns is therefore at most the range
@@ -42,15 +46,15 @@ over the kept columns plus 2 B L (n - L) / n, and, both being integers,
 plus that value's floor, slack(L).  The coarse range is a range over some
 columns, so it is also at most the true range.
 
-D takes row 0 exactly, which d and d' need anyway, as its first best.  It
-then takes the coarse range plus slack of every pair, a block of starts at
-a time, and rescans exactly, in (a, b) order, only the pairs whose bound
-beats the best so far; no other pair can beat it, so the first maximal
-pair stays the witness.  On a random sigma at n = 1024 fewer than 0.2% of
-the pairs are rescanned.  The scan holds q, its coarse columns, a block of
-1 MB of coarse cells (or one start's, if more) and the rows of _ROW_CELLS
-rescanned cells: 6.6 MB at n = 1024 and 101 MB at 4096, where the
-unpruned scan held q and a scan buffer as large, 8.4 and 134 MB.
+So on an int32 table a block's coarse ranges plus slack bound its pairs,
+and only the pairs whose bound beats the best so far are rescanned
+exactly, in (a, b) order; no other pair can beat it, so in either case
+the first maximal pair stays the witness.  On a random sigma at
+n = 1024 fewer than 0.2% of the pairs are rescanned.  The pruned scan
+holds q, its coarse columns, a block of 1 MB of coarse cells (or one
+start's, if more) and the rows of _ROW_CELLS rescanned cells: 6.6 MB at
+n = 1024 and 101 MB at 4096, where an unpruned scan held q and a scan
+buffer as large, 8.4 and 134 MB.
 
 d and the sampled bound hold no n x n array: they read q in blocks of
 about _ROW_CELLS cells, each block made from the row before it.  The
@@ -64,8 +68,8 @@ largest bound first, until no bound does.  With 8 starts it holds
 Every entry of q and every row difference is n * c - L * (j + 1) with
 max(0, L + j + 1 - n) <= c <= min(L, j + 1), so |q| <= n^2 / 4.  The
 array table is int16 while n^2 < 2^17 (n <= 362) and int32 above; ranges
-are taken in int32.  With an int16 table D is scanned by columns, over
-blocks of starts; with an int32 table, pruned coarse to fine.
+are taken in int32.  The table's type decides D's case: exact on int16,
+pruned on int32.
 """
 
 from __future__ import annotations
@@ -88,9 +92,8 @@ if TYPE_CHECKING:
 # Largest n the exact scans accept: the prefix table then takes about 67 MB.
 MAX_DISCREPANCY_SIZE = 4096
 
-# Elements in one block of the column scan, 1 MB of int16; the coarse
-# scan of D takes blocks of the same 1 MB in int32.
-_BLOCK = 1 << 19
+# Bytes in one block of D's profiles, of either table type.
+_BLOCK = 1 << 20
 
 # Steps between two kept columns of the coarse table.  On a 2-core x86-64
 # host, D of a random sigma took 11, 170 and 1180 ms at n = 384, 1024 and
@@ -236,11 +239,6 @@ def _row_blocks(sigma: Permutation, rows: int, cols: np.ndarray | None = None):
         last = block[-1].copy()
 
 
-def _prefix_table(sigma: Permutation) -> np.ndarray:
-    """The n x n table q of the module docstring in numpy, one block."""
-    return next(_row_blocks(sigma, sigma.n))
-
-
 def _ranges(rows: np.ndarray, base: np.ndarray, out: np.ndarray) -> np.ndarray:
     """int32 ranges of the profiles rows[i] - base, or rows[i] - base[i]
     for a base of one row each, computed in out."""
@@ -307,60 +305,47 @@ def _pair_ranges(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _array_scan(sigma: Permutation) -> tuple:
     """(row, pair, row0) for D by the array scan, as for _list_scan.
 
-    An int16 table (n <= 362) is scanned by columns: the s starts from a0
-    on make one (n, s, n - a0) buffer of profiles, reduced along the
-    values, and later blocks fit in the first one's buffer.  A block also
-    holds the pairs b < a, negations of the earlier pairs (b, a), so its
-    first maximum is never one of them.  An int32 table is pruned coarse
-    to fine, as the module docstring says, where an unpruned scan by rows
-    took 2-3x as long from n = 1024 on; its coarse blocks are laid out as
-    the column scan's, on the kept columns.
+    Row 0 of q is 0, so the profiles of row 0 are the rows of q.  The
+    s starts from a0 on make one (columns, s, n - a0) buffer of profiles
+    on the kept columns, reduced along the values.  A block also holds the
+    pairs b < a, negations of the earlier pairs (b, a), so its first
+    maximum, exact or rescanned, is never one of them.
     """
     import numpy as np
 
-    q = _prefix_table(sigma)
     n = sigma.n
-    best, pair = 0, (0, 0)
-    if q.dtype == np.int16:
-        qt = np.ascontiguousarray(q.T)
-        buf = np.empty(n * n * min(n, _BLOCK // (n * n)), np.int16)
-        a0 = 0
-        while a0 < n:
-            w = n - a0
-            s = min(w, len(buf) // (n * w))
-            g = np.subtract(qt[:, None, a0:], qt[:, a0:a0 + s, None],
-                            out=buf[:n * s * w].reshape(n, s, w))
-            ranges = np.subtract(g.max(axis=0), g.min(axis=0), dtype=np.int32)
-            k = int(np.argmax(ranges))
-            if ranges.flat[k] > best:
-                best, pair = int(ranges.flat[k]), (a0 + k // w, a0 + k % w)
-            if a0 == 0:
-                row0 = ranges[0]
-            a0 += s
-    else:
-        # row 0 of q is 0, so the profiles of row 0 are the rows of q
-        row0 = np.subtract(q.max(axis=1), q.min(axis=1), dtype=np.int32)
-        b = int(np.argmax(row0))
-        best, pair = int(row0[b]), (0, b)
-        cols = _coarse_columns(n)
-        qct = q.T[cols]
+    q = next(_row_blocks(sigma, n))
+    row0 = np.subtract(q.max(axis=1), q.min(axis=1), dtype=np.int32)
+    b = int(np.argmax(row0))
+    best, pair = int(row0[b]), (0, b)
+    exact = q.dtype == np.int16
+    cols = np.arange(n) if exact else _coarse_columns(n)
+    qct = q.T[cols]
+    if not exact:
         slack = _slack_table(n)
-        buf = np.empty(max(_BLOCK // 2, len(cols) * n), np.int32)
-        a0 = 1
-        while a0 < n:
-            w = n - a0
-            s = max(1, min(w, len(buf) // (len(cols) * w)))
-            g = np.subtract(qct[:, None, a0:], qct[:, a0:a0 + s, None],
-                            out=buf[:len(cols) * s * w].reshape(len(cols), s, w))
-            bound = np.subtract(g.max(axis=0), g.min(axis=0), dtype=np.int32)
-            bound += slack[a0:a0 + s, a0:]
-            i, k = np.nonzero(bound > best)
+    # one start's profiles at least, and no more than all starts' at once
+    buf = np.empty(min(max(_BLOCK // q.itemsize, len(cols) * n), len(cols) * n * n), q.dtype)
+    a0 = 1
+    while a0 < n:
+        w = n - a0
+        s = min(w, len(buf) // (len(cols) * w))
+        g = np.subtract(qct[:, None, a0:], qct[:, a0:a0 + s, None],
+                        out=buf[:len(cols) * s * w].reshape(len(cols), s, w))
+        ranges = np.subtract(g.max(axis=0), g.min(axis=0), dtype=np.int32)
+        if exact:
+            i, k = divmod(int(np.argmax(ranges)), w)
+            top = ranges[i, k]
+        else:
+            ranges += slack[a0:a0 + s, a0:]
+            i, k = np.nonzero(ranges > best)
+            top = best
             if len(i):
-                ranges = _pair_ranges(q, a0 + i, a0 + k)
-                m = int(np.argmax(ranges))
-                if ranges[m] > best:
-                    best, pair = int(ranges[m]), (a0 + int(i[m]), a0 + int(k[m]))
-            a0 += s
+                rescanned = _pair_ranges(q, a0 + i, a0 + k)
+                m = int(np.argmax(rescanned))
+                i, k, top = i[m], k[m], rescanned[m]
+        if top > best:
+            best, pair = int(top), (a0 + int(i), a0 + int(k))
+        a0 += s
     return lambda t: q[t].tolist(), pair, row0.tolist()
 
 

@@ -656,7 +656,7 @@ def test_fuzzed_matrix_exits_0_1_or_2(m, csv):
 
 # An admitted product lists every image, and its D is computed up to size
 # 1024, where it takes half a second.  So admitted sizes stay within the
-# int16 scan's 362 or lie past 1024, at most 4096.
+# int16 table's 362 or lie past 1024, at most 4096.
 QUICK_PRODUCTS = [(str(base), str(k)) for base in range(2, 65) for k in range(1, 13)
                   if base ** k <= 362 or 1024 < base ** k <= 4096]
 

@@ -166,8 +166,8 @@ def _assert_reports_equal(got, expected):
 
 
 def test_perm_discrepancy_matches_the_row_scan_oracle():
-    # the column scan takes several blocks of starts from n = 97 on, so
-    # the first-maximum tie-break is checked across block edges
+    # the exact case of an int16 table takes several blocks of starts from
+    # n = 97 on, so the first-maximum tie-break is checked across block edges
     rng = random.Random(89)
     corpus = [random_permutation(n, rng.randrange(10 ** 6))
               for n in (50, 97, 128, 200, 256)]
@@ -222,6 +222,36 @@ def test_pruned_scan_matches_the_row_scan_oracle(int32_table):
                for sizes in ((4, 4, 4), (3, 5, 7), (8, 16), (2,) * 7)]
     for sigma in corpus:
         _assert_reports_equal(perm_discrepancy(sigma), row_scan_perm_discrepancy(sigma))
+
+
+@pytest.mark.parametrize("n", [2, 97, 362])
+def test_int16_table_is_scanned_exactly(monkeypatch, n):
+    # an int16 table keeps every column, so no pair is bounded or rescanned
+    def refuse(*args):
+        raise AssertionError("the int16 table took the pruned case")
+
+    monkeypatch.setattr(permdisc, "_lists_pay", lambda cells: False)
+    monkeypatch.setattr(permdisc, "_slack_table", refuse)
+    monkeypatch.setattr(permdisc, "_pair_ranges", refuse)
+    sigma = random_permutation(n, 7 * n)
+    _assert_reports_equal(perm_discrepancy(sigma), row_scan_perm_discrepancy(sigma))
+
+
+def test_int32_table_is_pruned(monkeypatch):
+    calls = []
+
+    def spy(f):
+        def called(*args):
+            calls.append(f.__name__)
+            return f(*args)
+        return called
+
+    monkeypatch.setattr(permdisc, "_lists_pay", lambda cells: False)
+    for name in ("_slack_table", "_pair_ranges"):
+        monkeypatch.setattr(permdisc, name, spy(getattr(permdisc, name)))
+    sigma = random_permutation(363, 7 * 363)
+    _assert_reports_equal(perm_discrepancy(sigma), row_scan_perm_discrepancy(sigma))
+    assert {"_slack_table", "_pair_ranges"} <= set(calls)
 
 
 def _scans_agree(sigma):
@@ -286,8 +316,8 @@ assert reports == [permdisc.perm_discrepancy(sigma) for sigma in sigmas]
 
 @pytest.mark.parametrize("n", [361, 362, 363])
 def test_discrepancy_at_the_int16_table_limit(n):
-    # n <= 362 takes the int16 table and the column scan, n = 363 the
-    # int32 table and the pruned scan; the identity and the reversal reach
+    # n <= 362 takes the int16 table and the exact case, n = 363 the
+    # int32 table and the pruned case; the identity and the reversal reach
     # |q| = n^2 / 4, 32 761 at n = 362
     corpus = [Permutation.identity(n),
               Permutation(tuple(range(n - 1, -1, -1))),
@@ -442,7 +472,7 @@ def test_exact_scans_stay_within_two_int32_tables():
     assert peak < 10 * 10 ** 6, peak
 
 
-def test_column_scan_stays_within_two_int16_tables_and_a_block():
+def test_exact_case_stays_within_two_int16_tables_and_a_block():
     # two 262 KB int16 tables at n = 362 and one block of at most 1 MB
     sigma = random_permutation(362, 101)
     tracemalloc.start()
