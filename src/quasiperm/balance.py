@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import (CyclicInterval, InputError, Record, ZnSubset, _check_moduli,
                    profile_witness)
-from .core import scaled_discrepancy_in  # still served as balance.scaled_discrepancy_in
 
 # balance_certificate costs O(n^2 log n): one FFT per interval length
 MAX_CERTIFICATE_SIZE = 4096
@@ -122,31 +121,21 @@ def interval_spectrum_magnitudes(n: int, length: int) -> np.ndarray:
     """|J~(k)| for an interval of the given length; independent of start."""
     if not 0 <= length <= n:
         raise InputError(f"length {length} outside [0, {n}]")
-    return _interval_magnitudes(_interval_indicators(n), np.array([length]))[0]
+    return _interval_magnitudes(n, np.array([length]))[0]
 
 
-def _interval_indicators(n: int) -> np.ndarray:
-    """The read-only (n + 1) x n view whose row n - L is the indicator of
-    the interval [0, L) in floats."""
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    return sliding_window_view(np.concatenate([np.ones(n), np.zeros(n)]), n)
+def _interval_magnitudes(n: int, lengths: np.ndarray) -> np.ndarray:
+    """|J~(k)| for an interval of each of the lengths, a row each: one FFT
+    along the rows of the indicators of the intervals [0, L) in floats."""
+    return np.abs(np.fft.fft((np.arange(n) < lengths[:, None]).astype(np.float64), axis=1))
 
 
-def _interval_magnitudes(indicators: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """|J~(k)| for an interval of each of the lengths, a row each, from
-    _interval_indicators: one FFT along the rows of their indicators."""
-    return np.abs(np.fft.fft(indicators[len(indicators) - 1 - lengths], axis=1))
-
-
-def _translation_sums(smags2: np.ndarray, indicators: np.ndarray,
-                      lengths: np.ndarray) -> np.ndarray:
+def _translation_sums(smags2: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """sum_{k!=0} |S~(k)|^2 |J~(k)|^2 / n for a J of each of the lengths,
-    from smags2[k-1] = |S~(k)|^2 and _interval_indicators.  Each row is
-    summed on its own, so each value is the one a single length gives, bit
-    for bit."""
-    return (np.sum(smags2 * _interval_magnitudes(indicators, lengths)[:, 1:] ** 2, axis=1)
-            / indicators.shape[1])
+    from smags2[k-1] = |S~(k)|^2 for k = 1..n-1.  Each row is summed on its
+    own, so each value is the one a single length gives, bit for bit."""
+    n = len(smags2) + 1
+    return np.sum(smags2 * _interval_magnitudes(n, lengths)[:, 1:] ** 2, axis=1) / n
 
 
 def translation_statistic(s: ZnSubset, j: CyclicInterval) -> float:
@@ -154,7 +143,7 @@ def translation_statistic(s: ZnSubset, j: CyclicInterval) -> float:
     sum_{k!=0} |S~(k) J~(-k)|^2 / n."""
     _check_moduli(s.n, j.n)
     return float(_translation_sums(np.abs(fourier_spectrum(s))[1:] ** 2,
-                                   _interval_indicators(s.n), np.array([j.length]))[0])
+                                   np.array([j.length]))[0])
 
 
 class BalanceCertificate(Record):
@@ -226,8 +215,7 @@ def balance_certificate(s: ZnSubset) -> BalanceCertificate:
     # [T]: the translation sum depends on J only through |J|; the first
     # length attaining the largest positive value is the witness
     smags2 = mags[1:] ** 2
-    indicators = _interval_indicators(n)
-    vals = _by_blocks(lambda block: _translation_sums(smags2, indicators, block),
+    vals = _by_blocks(lambda block: _translation_sums(smags2, block),
                       np.arange(1, n), n, _FFT_CELLS) / n ** 3
     witness_t_len = int(np.argmax(vals)) + 1 if vals.any() else 0
     eps_t = float(vals[witness_t_len - 1]) if witness_t_len else 0.0

@@ -21,9 +21,12 @@ from .core import InputError, Permutation, Record, _cut
 MAX_PRODUCT_SIZE = 1 << 24
 
 # Least trials * permdisc.discrepancy_cells(n) at which mc_discrepancy_stats
-# starts a process pool.  Below it, starting the workers and shipping the
-# trials cost more than the second core saves: on a 2-core x86-64 machine the
-# pool lost below 5e6 cells and won at nearly every measured size from 2.5e7.
+# starts a process pool.  Below it, starting the workers costs more than the
+# second core saves.  On a 2-core x86-64 machine the pool, sent one batch of
+# trials per worker, took 0.50-0.80x as long as the trials in-process at
+# 3e7 cells for n = 16-96 (1.18x at n = 192, 8 trials) and 0.45-0.79x at
+# 1e8 cells for n = 16-192, but 1.3-2.8x at n = 96 and 192 from 1e7 cells
+# down (medians of 3).
 POOL_MIN_WORK = 25 * 10 ** 6
 
 # Largest trials * permdisc.discrepancy_cells(n) that mc_discrepancy_stats
@@ -184,9 +187,9 @@ def mc_discrepancy_stats(n: int, trials: int, seed: int,
     min(threads, trials, cores), and None means every core.  A process pool
     is started only when that cap exceeds 1 and trials * discrepancy_cells(n)
     of permdisc reaches POOL_MIN_WORK; otherwise the trials run in this
-    process.  A size that D cannot take, more than MAX_TRIALS trials or
-    more than MAX_MC_CELLS cells of D in all are refused before anything is
-    drawn.
+    process.  The pool sends the trials to its workers in one batch each.
+    A size that D cannot take, more than MAX_TRIALS trials or more than
+    MAX_MC_CELLS cells of D in all are refused before anything is drawn.
     """
     from . import permdisc
 
@@ -212,7 +215,7 @@ def mc_discrepancy_stats(n: int, trials: int, seed: int,
         import numpy  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            scaled = list(pool.map(_trial_discrepancy, tasks))
+            scaled = list(pool.map(_trial_discrepancy, tasks, chunksize=-(-trials // workers)))
     else:
         scaled = list(map(_trial_discrepancy, tasks))
     norm = math.sqrt(n * math.log(n)) if n > 1 else 1.0

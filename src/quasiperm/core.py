@@ -9,6 +9,7 @@ never enters at this layer.
 
 from __future__ import annotations
 
+import re
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -254,40 +255,34 @@ def _cut(text: str, show=str) -> str:
     return show(text[:40]) + ("..." if len(text) > 40 else "")
 
 
-# Characters in one slice of the text that _integers splits and converts
+# Least characters in one slice of the text that _integers splits and converts
 _SLICE = 1 << 14
+
+# What text.replace(",", " ").split() splits at: \s matches exactly the
+# characters str.split() takes as whitespace
+_SEPARATOR = re.compile(r"[\s,]")
 
 
 def _integer_slices(text: str) -> Iterator[list]:
     """The tokens of text, split at commas and whitespace as
-    text.replace(",", " ").split() splits it, as integers, one slice of
-    _SLICE characters at a time.  A token that runs on past a slice goes to
-    the next one, and a slice that holds only part of one token is widened
-    until it holds all of it.  The first token that is not an integer
-    raises InputError with it, cut, and its index in the whole text."""
-    pos, width, index = 0, _SLICE, 0
+    text.replace(",", " ").split() splits it, as integers, one slice at a
+    time.  A slice runs from where the last one ended to just past the first
+    separator at or beyond _SLICE characters on, or to the end of the text,
+    so no token is cut.  The first token that is not an integer raises
+    InputError with it, cut, and its index in the whole text."""
+    pos, index = 0, 0
     while pos < len(text):
-        chunk = text[pos:pos + width]
-        tokens = chunk.replace(",", " ").split()
-        end = pos + len(chunk)
-        if end < len(text) and tokens and not _separator(chunk[-1]) \
-                and not _separator(text[end]):
-            if len(tokens) == 1:
-                width *= 2
-                continue
-            end -= len(tokens.pop())
+        found = _SEPARATOR.search(text, pos + _SLICE)
+        end = found.end() if found else len(text)
+        tokens = text[pos:end].replace(",", " ").split()
         try:
             values = list(map(int, tokens))
         except ValueError:
             i, tok = next((i, tok) for i, tok in enumerate(tokens) if not _is_integer(tok))
             raise InputError(f"token {_cut(tok, repr)} at index {index + i} "
                              "is not an integer") from None
-        pos, width, index = end, _SLICE, index + len(values)
+        pos, index = end, index + len(values)
         yield values
-
-
-def _separator(c: str) -> bool:
-    return c == "," or c.isspace()
 
 
 def _is_integer(token: str) -> bool:

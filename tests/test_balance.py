@@ -16,11 +16,10 @@ from quasiperm.balance import (
     interval_spectrum_magnitudes,
     max_interval_discrepancy,
     multiple_discrepancy,
-    scaled_discrepancy_in,
     sum_statistic,
     translation_statistic,
 )
-from quasiperm.core import CyclicInterval, InputError, ZnSubset, sym_abs
+from quasiperm.core import CyclicInterval, InputError, ZnSubset, scaled_discrepancy_in, sym_abs
 
 from oracles import (
     brute_fourier,
@@ -161,6 +160,19 @@ def test_interval_spectrum_bound():
             mags = interval_spectrum_magnitudes(n, length)
             for k in range(1, n):
                 assert mags[k] <= n / (2 * sym_abs(k, n)) + 1e-9
+
+
+def test_interval_spectrum_is_the_dirichlet_kernel():
+    # |J~(k)| = |sum_{x<L} e^(-2 pi i k x / n)| = |sin(pi k L / n) / sin(pi k / n)|
+    # for k != 0, and L at k = 0, for every length of every n <= 64
+    for n in range(1, 65):
+        k = np.arange(1, n)
+        for length in range(n + 1):
+            mags = interval_spectrum_magnitudes(n, length)
+            expected = np.abs(np.sin(np.pi * k * length / n) / np.sin(np.pi * k / n))
+            assert len(mags) == n
+            assert abs(mags[0] - length) <= 1e-9
+            assert np.all(np.abs(mags[1:] - expected) <= 1e-9), (n, length)
 
 
 def test_translation_statistic_example():

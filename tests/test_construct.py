@@ -204,14 +204,15 @@ def test_mc_median_ratio_is_the_statistics_median():
 @pytest.fixture
 def serial_pool(monkeypatch):
     """Replace ProcessPoolExecutor by a serial stand-in on a 4-core host;
-    returns the list of max_workers each constructed pool was given."""
+    returns the list of (max_workers, chunksize) of each constructed pool,
+    chunksize as its map was given it."""
     import concurrent.futures
 
     constructed = []
 
     class SerialPool:
         def __init__(self, max_workers):
-            constructed.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -219,7 +220,8 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            constructed.append((self.max_workers, chunksize))
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -230,10 +232,14 @@ def serial_pool(monkeypatch):
 def test_mc_discrepancy_stats_caps_the_worker_count(monkeypatch, serial_pool):
     monkeypatch.setattr(construct, "POOL_MIN_WORK", 0)
     capped = mc_discrepancy_stats(12, 2, seed=5, threads=10 ** 5)
-    assert serial_pool == [2]
+    assert serial_pool == [(2, 1)]
     assert capped == mc_discrepancy_stats(12, 2, seed=5, threads=1)
     mc_discrepancy_stats(12, 6, seed=5, threads=None)
-    assert serial_pool == [2, 4]
+    # each worker gets one batch: ceil(trials / workers) trials
+    assert serial_pool == [(2, 1), (4, 2)]
+    assert mc_discrepancy_stats(12, 9, seed=5, threads=2) == \
+        mc_discrepancy_stats(12, 9, seed=5, threads=1)
+    assert serial_pool == [(2, 1), (4, 2), (2, 5)]
 
 
 def test_mc_discrepancy_stats_size_limit_raises_before_drawing():
@@ -344,7 +350,7 @@ class SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
         return map(fn, items)
 
 

@@ -4,7 +4,7 @@ cases of the small value types."""
 import numpy as np
 import pytest
 
-from quasiperm import balance, construct, patterns, permdisc, symmetry
+from quasiperm import balance, construct, core, patterns, permdisc, symmetry
 from quasiperm.cli import dispatch
 from quasiperm.core import CyclicInterval, InputError, Permutation, ZnSubset, parse_set
 
@@ -44,7 +44,7 @@ BAD_INPUTS = {
         lambda: patterns.build_pattern_matrices(6),
         "order 6 outside supported range 1..5"),
     "discrepancy in across moduli": (
-        lambda: balance.scaled_discrepancy_in(ZnSubset.empty(4), ZnSubset.empty(5)),
+        lambda: core.scaled_discrepancy_in(ZnSubset.empty(4), ZnSubset.empty(5)),
         "moduli differ: 4 vs 5"),
     "translation across moduli": (
         lambda: balance.translation_statistic(ZnSubset.empty(4), CyclicInterval(5, 0, 1)),

@@ -13,13 +13,13 @@ EXPORTS = {
     "core": {
         "CyclicInterval", "InputError", "Permutation", "ZnSubset", "classify_interval",
         "components", "image_of_interval", "parse_permutation", "parse_set",
-        "serialize_permutation", "serialize_set", "sym_abs",
+        "scaled_discrepancy_in", "serialize_permutation", "serialize_set", "sym_abs",
     },
     "balance": {
         "BalanceCertificate", "balance_certificate",
         "eigenvalue_bound_profile", "fourier_spectrum", "interval_spectrum_magnitudes",
-        "max_interval_discrepancy", "multiple_discrepancy", "scaled_discrepancy_in",
-        "sum_statistic", "translation_statistic",
+        "max_interval_discrepancy", "multiple_discrepancy", "sum_statistic",
+        "translation_statistic",
     },
     "patterns": {
         "ConvergenceError", "PatternMatrix", "ProfileVector", "build_pattern_matrices",

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasiperm import permdisc
-from quasiperm.balance import scaled_discrepancy_in
-from quasiperm.core import CyclicInterval, InputError, Permutation, image_of_interval
+from quasiperm.core import (CyclicInterval, InputError, Permutation, image_of_interval,
+                            scaled_discrepancy_in)
 from quasiperm.permdisc import (
     MAX_DISCREPANCY_SIZE,
     PermDiscrepancyReport,
