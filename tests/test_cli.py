@@ -10,6 +10,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -23,7 +24,7 @@ from quasiperm.permdisc import MAX_DISCREPANCY_SIZE
 from quasiperm.symmetry import MAX_SEARCH_SIZE, SymmetrySearchResult
 
 from fresh import run_fresh
-from oracles import push_work
+from oracles import brute_B, push_work
 
 
 def run_cli(capsys, *argv):
@@ -147,10 +148,16 @@ def test_matrix_example(capsys):
 def test_matrix_reports_rank_at_the_largest_order(capsys):
     # one build of B_5 serves B, A, connectivity and the rank
     patterns._rows_of_B.cache_clear()
-    r = run_json(capsys, "matrix", "--m", "5")["results"]
-    assert r["rank_B"] == math.factorial(5)
-    assert len(r["B"]) == 120 and len(r["B"][0]) == 720
+    report = run_json(capsys, "matrix", "--m", "5")
     assert patterns._rows_of_B.cache_info().misses == 1
+    r = report["results"]
+    assert report["inputs"] == {"m": 5} and r["m"] == 5
+    b = np.array(brute_B(5), dtype=np.int64)
+    assert r["B"] == b.tolist() and r["A"] == (b.T @ b).tolist()
+    assert r["rank_B"] == math.factorial(5) and r["connected"] is True
+    # A 1 = (m + 1)^3 1, so the top eigenvalue is 216; the float solver's
+    # value as printed, to the goldens' relative tolerance for real fields
+    assert math.isclose(r["lambda_max"], 215.9999999997624, rel_tol=1e-12)
 
 
 def test_pattern_count(capsys, perm_file):
