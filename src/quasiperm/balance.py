@@ -121,28 +121,31 @@ def interval_spectrum_magnitudes(n: int, length: int) -> np.ndarray:
     """|J~(k)| for an interval of the given length; independent of start."""
     if not 0 <= length <= n:
         raise InputError(f"length {length} outside [0, {n}]")
-    return _interval_magnitudes(n, np.array([length]))[0]
+    return _interval_magnitudes(np.arange(n), np.array([length]))[0]
 
 
-def _interval_magnitudes(n: int, lengths: np.ndarray) -> np.ndarray:
-    """|J~(k)| for an interval of each of the lengths, a row each: one FFT
-    along the rows of the indicators of the intervals [0, L) in floats."""
-    return np.abs(np.fft.fft((np.arange(n) < lengths[:, None]).astype(np.float64), axis=1))
+def _interval_magnitudes(columns: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """|J~(k)| for an interval of each of the lengths, a row each, from
+    columns = arange(n): one FFT along the rows of the indicators of the
+    intervals [0, L) in floats."""
+    return np.abs(np.fft.fft((columns < lengths[:, None]).astype(np.float64), axis=1))
 
 
-def _translation_sums(smags2: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _translation_sums(smags2: np.ndarray, columns: np.ndarray,
+                      lengths: np.ndarray) -> np.ndarray:
     """sum_{k!=0} |S~(k)|^2 |J~(k)|^2 / n for a J of each of the lengths,
-    from smags2[k-1] = |S~(k)|^2 for k = 1..n-1.  Each row is summed on its
-    own, so each value is the one a single length gives, bit for bit."""
-    n = len(smags2) + 1
-    return np.sum(smags2 * _interval_magnitudes(n, lengths)[:, 1:] ** 2, axis=1) / n
+    from smags2[k-1] = |S~(k)|^2 for k = 1..n-1 and columns = arange(n),
+    built once per caller.  Each row is summed on its own, so each value is
+    the one a single length gives, bit for bit."""
+    return (np.sum(smags2 * _interval_magnitudes(columns, lengths)[:, 1:] ** 2, axis=1)
+            / len(columns))
 
 
 def translation_statistic(s: ZnSubset, j: CyclicInterval) -> float:
     """Sum over k of (|S & (J+k)| - |S||J|/n)^2, by the spectral identity
     sum_{k!=0} |S~(k) J~(-k)|^2 / n."""
     _check_moduli(s.n, j.n)
-    return float(_translation_sums(np.abs(fourier_spectrum(s))[1:] ** 2,
+    return float(_translation_sums(np.abs(fourier_spectrum(s))[1:] ** 2, np.arange(s.n),
                                    np.array([j.length]))[0])
 
 
@@ -214,9 +217,9 @@ def balance_certificate(s: ZnSubset) -> BalanceCertificate:
 
     # [T]: the translation sum depends on J only through |J|; the first
     # length attaining the largest positive value is the witness
-    smags2 = mags[1:] ** 2
-    vals = _by_blocks(lambda block: _translation_sums(smags2, block),
-                      np.arange(1, n), n, _FFT_CELLS) / n ** 3
+    smags2, columns = mags[1:] ** 2, np.arange(n)
+    vals = _by_blocks(lambda block: _translation_sums(smags2, columns, block),
+                      columns[1:], n, _FFT_CELLS) / n ** 3
     witness_t_len = int(np.argmax(vals)) + 1 if vals.any() else 0
     eps_t = float(vals[witness_t_len - 1]) if witness_t_len else 0.0
 

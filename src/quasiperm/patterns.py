@@ -120,9 +120,10 @@ class ProfileVector(Record):
 def profile(sigma: Permutation, m: int) -> ProfileVector:
     """Counts for all m! patterns, lexicographically indexed.
 
-    Order 2 counts inversions.  Orders m >= 3 push sigma's values one by
-    one onto the packed counts of `layout`, if the push_work of the n
-    pushes is at most MAX_PROFILE_STEPS."""
+    Order 2 counts inversions, and order 3 takes one pass of corner counts
+    (`_corner_counts`).  Orders m >= 4 push sigma's values one by one onto
+    the packed counts of `layout`.  Every order from 3 on is refused unless
+    the push_work of the n pushes is at most MAX_PROFILE_STEPS."""
     n = sigma.n
     if m < 0:
         raise InputError(f"order {_cut(str(m))} is negative")
@@ -140,12 +141,43 @@ def profile(sigma: Permutation, m: int) -> ProfileVector:
     if work > MAX_PROFILE_STEPS:
         raise InputError(f"order-{m} profile of size {n} takes {work} push steps, "
                          f"beyond the limit {MAX_PROFILE_STEPS}")
+    if m == 3:
+        return ProfileVector(m, n, _corner_counts(sigma.images))
     width, _, steps = layout(n, m)
     diff, prefix, packed = [0] * (n + 1), [], 0
     for a in sigma.images:
         packed += sum(diff[:a + 1])
         push(diff, prefix, a, steps)
     return ProfileVector(m, n, unpack(packed, width, m))
+
+
+def _corner_counts(images: Sequence[int]) -> tuple:
+    """The six order-3 pattern counts, lexicographically indexed, in one
+    pass over the values (Even-Zohar & Leng, "Counting small permutation
+    patterns", SODA 2021).
+
+    At position j with value v, l = #{i < j : sigma(i) < v} is a bit count
+    on the mask of the values seen so far.  Of the values before v, g = j - l
+    are above it; of those after it, lo = v - l are below and hi =
+    n - 1 - v - g above.  Counted at its middle position, an occurrence is
+    012 in l*hi ways, 210 in g*lo, 021 or 120 in l*lo and 102 or 201 in
+    g*hi; counted at its first position, it is 012 or 021 in C(hi, 2) ways
+    and 201 or 210 in C(lo, 2)."""
+    n, seen = len(images), 0
+    l_hi = g_lo = l_lo = g_hi = hi_pairs = lo_pairs = 0
+    for j, v in enumerate(images):
+        l = (seen & ((1 << v) - 1)).bit_count()
+        seen |= 1 << v
+        g, lo = j - l, v - l
+        hi = n - 1 - v - g
+        l_hi += l * hi
+        g_lo += g * lo
+        l_lo += l * lo
+        g_hi += g * hi
+        hi_pairs += hi * (hi - 1)
+        lo_pairs += lo * (lo - 1)
+    c021, c201 = hi_pairs // 2 - l_hi, lo_pairs // 2 - g_lo
+    return l_hi, c021, g_hi - c201, l_lo - c021, c201, g_lo
 
 
 @lru_cache(maxsize=None)
@@ -194,7 +226,18 @@ def _step_tables(width: int, m: int) -> tuple:
         classes = [(x, y, a) for x, a in ((1, 3), (3, 1)) for y in (0, 2, 4)]
         _, _, x_before, _ = zip(*(unit_and_moves((y, x, a)) for x, y, a in classes))
         units, x_after, _, a_moves = zip(*(unit_and_moves((x, y, a)) for x, y, a in classes))
-        triples = ((x_before[:3] + x_after[:3], x_before[3:] + x_after[3:]), units, a_moves)
+        # x's step is the sum of its partners times its moves, plus its move
+        # in the pair (x, a).  `_partners` is linear in its seven arguments,
+        # so per side the step is their dot product with its values at the
+        # unit arguments, the pair move joining that of `one`
+        coefs = []
+        for side in (0, 1):
+            moves = x_before[3 * side:3 * side + 3] + x_after[3 * side:3 * side + 3]
+            c = [sum(map(mul, _partners(side, *(int(j == k) for j in range(7))), moves))
+                 for k in range(7)]
+            c[6] += pairs[1 + 3 * side]
+            coefs.append(tuple(c))
+        triples = (tuple(coefs), units, a_moves)
     return guards, (first, step, pairs, triples, tuple(tables[3:]))
 
 
@@ -219,6 +262,23 @@ def layout(n: int, m: int) -> tuple:
     return (width,) + _step_tables(width, m)
 
 
+def _partners(side: int, seen_rank: int, seen_a: int, i: int, rank: int, lt: int,
+              last: int, one: int) -> tuple:
+    """The partners y of the prefix value x at position i in the triples
+    ending at a pushed value a, per class of y: before x and below, between
+    or above x and a, then after x likewise.  side is 0 when x < a and 1
+    when x > a.  x has rank prefix values below it, seen_rank of them
+    before it; seen_a values below a lie before x, lt prefix values lie
+    below a and last is the prefix's last position.  The classes are
+    linear in the arguments, `one` standing for 1, so the partners summed
+    over several x are this of the summed arguments."""
+    if side == 0:
+        lo, hi, lo_all, hi_all = seen_rank, seen_a, rank, lt - one
+    else:
+        lo, hi, lo_all, hi_all = seen_a, seen_rank, lt, rank
+    return (lo, hi - lo, i - hi, lo_all - lo, hi_all - lo_all - hi + lo, last - i - hi_all + hi)
+
+
 def push_work(length: int, m: int) -> int:
     """Occurrence steps of one `push` at orders 3..m onto a prefix of this
     length: the length at orders 3 and 4, C(length, k-2) at order k >= 5."""
@@ -230,47 +290,71 @@ def push(diff: list, prefix: list, a: int, steps: tuple) -> None:
     with the steps of every occurrence that ends at a, push_work in all.
 
     Orders 2..4 take O(L) steps: the singleton (a), the pairs (x, a) by
-    whether x < a, and per x the triples ending at a by class of partner,
-    counted by bit counts on masks of values.  Each higher order k
-    enumerates its C(L, k-2) occurrences."""
+    whether x < a, and per x the triples ending at a by class of partner.
+    The order-4 step of x, its partners per class times its moves, is
+    affine in four small counts: x's position, its rank among the prefix
+    and among the values before it, by bit counts on masks of values, and
+    the values below a before it.  So it is a per-side constant of each
+    push plus four products, and it adds the same integer to diff[x + 1]
+    as the sum over the six classes.  Each higher order k enumerates its
+    C(L, k-2) occurrences."""
     first, step, pairs, triples, higher = steps
     diff[0] += first
     diff[a + 1] += step
     if pairs is not None:
         asc_first, asc_x, asc_a, desc_first, desc_x, desc_a = pairs
-        lt = 0
-        for x in prefix:
-            if x < a:
-                diff[x + 1] += asc_x
-                lt += 1
-            else:
-                diff[x + 1] += desc_x
+        if triples is None:
+            lt = 0
+            for x in prefix:
+                if x < a:
+                    diff[x + 1] += asc_x
+                    lt += 1
+                else:
+                    diff[x + 1] += desc_x
+        else:
+            # the order-4 step below adds the pair moves of every x
+            held = sum(1 << x for x in prefix)
+            lt = (held & ((1 << a) - 1)).bit_count()
         gt = len(prefix) - lt
         diff[0] += lt * asc_first + gt * desc_first
         diff[a + 1] += lt * asc_a + gt * desc_a
     if triples is not None:
-        # x's partners y below min(x, a) and max(x, a), among the values before
-        # it (bits of `seen`) and all prefix values (bits of `held`), give its
-        # counts per class of y; a has lt prefix values below it; `after`
-        # counts the triples (x, y, a) per side of a and class of y
-        x_moves, units, a_moves = triples
-        held, seen, seen_a, last = sum(1 << x for x in prefix), 0, 0, len(prefix) - 1
-        after = [0] * 6
+        # x at position i has rank prefix values below it, seen_rank of them
+        # before it, and seen_a values below a before it; its step is the
+        # dot product of (seen_rank, seen_a, i, rank, lt, last, 1) with the
+        # coefficients of its side of a, 0 for x < a and 1 for x > a.
+        # `after` counts the triples (x, y, a) per side and class of y: it
+        # is `_partners` of those arguments summed over the side.  The sums
+        # not kept follow from the rest: on side 0, seen_a and the rank
+        # each run through 0..lt-1, and the ranks on side 1 through
+        # lt..last.  The positions on side 0 sum to C(lt, 2) plus the pairs
+        # of a side-1 value before a side-0 value, and the seen_a of side 1
+        # to the lt*gt pairs less those.
+        coefs, units, a_moves = triples
+        (lo_sr, lo_sa, lo_i, lo_rank, lo_lt, lo_last, lo_one), \
+            (hi_sr, hi_sa, hi_i, hi_rank, hi_lt, hi_last, hi_one) = coefs
+        seen, seen_a, last = 0, 0, len(prefix) - 1
+        lo_base = lt * lo_lt + last * lo_last + lo_one
+        hi_base = lt * hi_lt + last * hi_last + hi_one
+        lo_sr_sum = hi_sr_sum = lo_i_sum = 0
         for i, x in enumerate(prefix):
             below = (1 << x) - 1
             rank, seen_rank = (held & below).bit_count(), (seen & below).bit_count()
             seen |= 1 << x
             if x < a:
-                side, lo, hi, lo_all, hi_all = 0, seen_rank, seen_a, rank, lt - 1
+                diff[x + 1] += (lo_base + seen_rank * lo_sr + seen_a * lo_sa + i * lo_i
+                                + rank * lo_rank)
+                lo_sr_sum += seen_rank
+                lo_i_sum += i
                 seen_a += 1
             else:
-                side, lo, hi, lo_all, hi_all = 1, seen_a, seen_rank, lt, rank
-            c = (lo, hi - lo, i - hi,
-                 lo_all - lo, hi_all - lo_all - hi + lo, last - i - hi_all + hi)
-            diff[x + 1] += sum(map(mul, c, x_moves[side]))
-            after[3 * side] += c[3]
-            after[3 * side + 1] += c[4]
-            after[3 * side + 2] += c[5]
+                diff[x + 1] += (hi_base + seen_rank * hi_sr + seen_a * hi_sa + i * hi_i
+                                + rank * hi_rank)
+                hi_sr_sum += seen_rank
+        lt_pairs, all_pairs = lt * (lt - 1) // 2, len(prefix) * last // 2
+        after = (_partners(0, lo_sr_sum, lt_pairs, lo_i_sum, lt_pairs, lt * lt, lt * last, lt)[3:]
+                 + _partners(1, hi_sr_sum, lt_pairs + lt * gt - lo_i_sum, all_pairs - lo_i_sum,
+                             all_pairs - lt_pairs, gt * lt, gt * last, gt)[3:])
         diff[0] += sum(map(mul, after, units))
         diff[a + 1] += sum(map(mul, after, a_moves))
     for k, table in enumerate(higher, start=5):

@@ -10,11 +10,12 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 from typing import NamedTuple
 
 import numpy as np
 
+from quasiperm import patterns
 from quasiperm.core import CyclicInterval, Permutation, ZnSubset
 from quasiperm.patterns import standardize
 from quasiperm.permdisc import PermDiscrepancyReport
@@ -255,6 +256,59 @@ def brute_profile(sigma: Permutation, m: int) -> tuple:
         ranked = sorted(vals)
         counts[tuple(ranked.index(v) for v in vals)] += 1
     return tuple(counts.values())
+
+
+def occurrence_moves(width: int, vals) -> tuple:
+    """(unit, moves in order of position) of an occurrence with values vals
+    in the packed counts of patterns.layout at this field width.  Appending
+    a value v with r of vals below it adds one occurrence of the pattern of
+    vals with rank r appended, whose field is unit(r); as v passes the
+    value of a position, r passes that position's rank, and its move is
+    the difference of the two units."""
+    k = len(vals) + 1
+    index = {p: i for i, p in enumerate(itertools.permutations(range(k)))}
+    offset = sum(math.factorial(j) for j in range(2, k))
+    tau = standardize(vals)
+
+    def unit(r):
+        return 1 << width * (offset + index[tuple(t + (t >= r) for t in tau) + (r,)])
+
+    return unit(0), tuple(unit(t + 1) - unit(t) for t in tau)
+
+
+def six_class_push(diff: list, prefix: list, a: int, width: int) -> None:
+    """patterns.push at order 4, with the triples ending at a counted per
+    prefix value x and class of its partner y: y before or after x, and
+    below, between or above x and a.  The singleton and the pairs are
+    patterns.push at order 3 with the same field width."""
+    classes = [(x, y, z) for x, z in ((1, 3), (3, 1)) for y in (0, 2, 4)]
+    x_before = [occurrence_moves(width, (y, x, z))[1][1] for x, y, z in classes]
+    after_steps = [occurrence_moves(width, (x, y, z)) for x, y, z in classes]
+    units = [unit for unit, _ in after_steps]
+    x_after = [moves[0] for _, moves in after_steps]
+    a_moves = [moves[2] for _, moves in after_steps]
+    x_moves = (x_before[:3] + x_after[:3], x_before[3:] + x_after[3:])
+    held, seen, seen_a, last = sum(1 << x for x in prefix), 0, 0, len(prefix) - 1
+    lt = sum(1 for x in prefix if x < a)
+    after = [0] * 6
+    for i, x in enumerate(prefix):
+        below = (1 << x) - 1
+        rank, seen_rank = (held & below).bit_count(), (seen & below).bit_count()
+        seen |= 1 << x
+        if x < a:
+            side, lo, hi, lo_all, hi_all = 0, seen_rank, seen_a, rank, lt - 1
+            seen_a += 1
+        else:
+            side, lo, hi, lo_all, hi_all = 1, seen_a, seen_rank, lt, rank
+        c = (lo, hi - lo, i - hi,
+             lo_all - lo, hi_all - lo_all - hi + lo, last - i - hi_all + hi)
+        diff[x + 1] += sum(map(mul, c, x_moves[side]))
+        after[3 * side] += c[3]
+        after[3 * side + 1] += c[4]
+        after[3 * side + 2] += c[5]
+    diff[0] += sum(map(mul, after, units))
+    diff[a + 1] += sum(map(mul, after, a_moves))
+    patterns.push(diff, prefix, a, patterns._step_tables(width, 3)[1])
 
 
 def brute_B(m: int) -> tuple:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -22,6 +23,7 @@ from quasiperm.patterns import (
     pattern_index,
     patterns_of_order,
     profile,
+    push,
     rank_of_B,
     standardize,
     top_eigenvalue,
@@ -99,6 +101,50 @@ def test_order4_profile_past_the_exhaustive_sizes():
     v3 = np.array(profile(sigma, 3).counts, dtype=object)
     v4 = np.array(profile(sigma, 4).counts, dtype=object)
     assert ((n - 3) * v3 == build_pattern_matrices(3).B.astype(object) @ v4).all()
+
+
+def test_affine_order4_step_matches_the_six_class_oracle():
+    # every push of the affine step adds the integers of the per-class
+    # step, which keeps the search's prunes, node counts and budget stops;
+    # at n = 66 the value masks pass one 64-bit word
+    rng = random.Random(55)
+    for n in (*range(5, 25), 66):
+        images = rng.sample(range(n), n)
+        width, _, steps = layout(n, 4)
+        diff, prefix, expected_diff, expected_prefix = [0] * (n + 1), [], [0] * (n + 1), []
+        for a in images:
+            push(diff, prefix, a, steps)
+            oracles.six_class_push(expected_diff, expected_prefix, a, width)
+            assert diff == expected_diff and prefix == expected_prefix, (images, len(prefix))
+
+
+def test_order3_corner_counts_match_brute_profile():
+    rng = random.Random(56)
+    for n in range(3, 41):
+        sigma = Permutation(rng.sample(range(n), n))
+        assert profile(sigma, 3).counts == brute_profile(sigma, 3), sigma.images
+
+
+def test_order3_corner_counts_match_the_order3_fields_of_a_push_pass():
+    for n, seed in ((96, 57), (500, 58)):
+        sigma = random_permutation(n, seed)
+        width, _, steps = layout(n, 4)
+        diff, prefix, packed = [0] * (n + 1), [], 0
+        for a in sigma.images:
+            packed += sum(diff[:a + 1])
+            push(diff, prefix, a, steps)
+        assert profile(sigma, 3).counts == unpack(packed, width, 3), n
+
+
+def test_order3_corner_counts_at_the_largest_admitted_size():
+    # (n - 2) v_2 = B_2 v_3, with v_2 from the inversion count
+    n = first_refused_size(3) - 1
+    sigma = random_permutation(n, 59)
+    v3 = profile(sigma, 3).counts
+    inv = patterns._inversions(sigma.images)
+    v2 = (math.comb(n, 2) - inv, inv)
+    assert sum(v3) == math.comb(n, 3)
+    assert [(n - 2) * c for c in v2] == [sum(map(operator.mul, row, v3)) for row in brute_B(2)]
 
 
 def test_profile_step_limit_raises_before_allocating():
