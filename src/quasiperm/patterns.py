@@ -64,14 +64,16 @@ def _inversions(values: Sequence[int]) -> int:
     blocks of values are the lower and upper halves of one block, and it
     is inverted when w comes before u.  Values are padded to a power of
     two with increasing positions past the end, which invert nothing.
-    Each block's positions are sorted at the level below.  A level packs
-    each position and the half of its block it lies in into one key,
-    2 * position + half bit, and sorts the keys of every block in place, as
-    the rows of a view with one row per block.  Keys are distinct, so a
-    sorted row is the merged block, and its half bits say which half each
-    position came from.  The upper-half positions before a lower-half one
-    are then its column in the merged block minus its rank in its own
-    half.  Keys are below 2 * size, so int32 holds them up to size 2^30.
+    The first three levels are one step on rows of 8 values, in which
+    each column of positions is compared with the later columns.  Each
+    later level packs each position and the half of its block it lies in
+    into one key, 2 * position + half bit, and sorts the keys of every
+    block in place, as the rows of a view with one row per block.  Keys
+    are distinct, so a sorted row is the merged block, and its half bits
+    say which half each position came from.  The upper-half positions
+    before a lower-half one are then its column in the merged block minus
+    its rank in its own half.  Keys are below 2 * size, so int32 holds
+    them up to size 2^30.
     """
     import numpy as np
 
@@ -80,10 +82,14 @@ def _inversions(values: Sequence[int]) -> int:
     size = 1 << bits
     dtype = np.int32 if bits < 31 else np.int64
     keys = np.arange(size, dtype=dtype)
-    keys[np.asarray(values, dtype=np.intp)] = np.arange(n, dtype=dtype)
+    keys[np.fromiter(values, dtype=np.intp, count=n)] = np.arange(n, dtype=dtype)
+    base = min(bits, 3)
+    by_column = np.ascontiguousarray(keys.reshape(-1, 1 << base).T)
+    inv = int(sum(np.count_nonzero(by_column[c] > by_column[c + 1:])
+                  for c in range(len(by_column) - 1)))
+    del by_column
     keys <<= 1
-    inv = 0
-    for level in range(bits):
+    for level in range(base, bits):
         half = 1 << level
         blocks = keys.reshape(-1, 2 * half)
         blocks[:, half:] |= 1

@@ -2,6 +2,9 @@ import pickle
 import random
 import tracemalloc
 
+# with numpy loaded, the parse tests read every slice that
+# core._fromstring_values vouches for by numpy's fromstring
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +25,7 @@ from quasiperm.core import (
     sym_abs,
 )
 
+from fresh import run_fresh
 from oracles import brute_components, whole_text_integers
 
 
@@ -197,6 +201,21 @@ BOUNDARY_TEXTS = {
     "unicode padding": "\u2003 0 1 \u2028",
     "long first token": "12345678 " + " ".join(map(str, range(101))),
     "one long token": "1" * 40,
+    "signed": "+3 -0 1 +2",
+    "minus space zero": "- 0",
+    "plus space one": "+ 1",
+    "two minus signs": "--1",
+    "sign inside a token": "1+2",
+    "sign at the end": "1 2+",
+    "sign ending a token": "1- 2",
+    "int64 maximum": "9223372036854775807",
+    "int64 minimum": "-9223372036854775808",
+    "past int64": "-9223372036854775809 9223372036854775808",
+    "20 digits": "12345678901234567890",
+    "18 digits": "-123456789012345678 999999999999999999",
+    "underscore": "1_0 2",
+    "arabic-indic digit": "0 \u0663 1",
+    "c whitespace": "0\t1\x0b2\x0c3\r4",
 }
 
 
@@ -232,7 +251,8 @@ def test_empty_or_separator_only_text_is_empty_input(monkeypatch, size, text):
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(text=st.text(st.sampled_from("0123456789, \n\u2003\x85-x"), max_size=60),
+@given(text=st.text(st.sampled_from("0123456789, \n\u2003\x85-x+\t\r\x0b\x0c\x1c_.\u0663"),
+                   max_size=60),
        size=st.integers(1, 9))
 def test_fuzzed_text_splits_as_the_whole_text_does(text, size):
     old = core._SLICE
@@ -256,3 +276,75 @@ def test_parse_permutation_holds_little_beyond_its_result():
     assert list(sigma.images) == images
     # the result, a tuple and 10^5 int objects, is about 3.6 MB
     assert peak - result <= 1.5 * 10 ** 6, (result, peak)
+
+
+@pytest.mark.parametrize("text, values", [
+    ("3 0 1 2", [3, 0, 1, 2]),
+    ("\t+3\x0b-0\x0c1\r2\n", [3, 0, 1, 2]),
+    ("-123456789012345678 999999999999999999", [-123456789012345678, 999999999999999999]),
+    ("- 0", None), ("+ 1", None), ("--1", None), ("1+2", None), ("1-2", None), ("1- 2", None),
+    ("1 2+", None),
+    ("9223372036854775807", None), ("-9223372036854775808", None),
+    ("12345678901234567890", None), ("-9223372036854775809", None),
+    ("1_0", None), ("1.0", None), ("0 \u0663", None), ("0\x1c1", None), (" \n ", None),
+])
+def test_fromstring_reads_a_slice_only_where_int_reads_it_alike(text, values):
+    assert core._fromstring_values(text) == values
+
+
+def test_parsing_reads_each_slice_by_fromstring_first(monkeypatch):
+    fromstring, read = core._fromstring_values, []
+    monkeypatch.setattr(core, "_fromstring_values",
+                        lambda chunk: read.append(chunk) or fromstring(chunk))
+    monkeypatch.setattr(core, "_SLICE", 4)
+    assert parse_permutation("3 0 1,2 4").images == (3, 0, 1, 2, 4)
+    assert read == ["3 0 1 ", "2 4"]
+
+
+# Images Permutation refuses, each bad one at index 5
+BAD_IMAGES = {
+    "float": (0, 1, 2, 3, 4, 1.5, 6, 7),
+    "whole float": (0, 1, 2, 3, 4, 5.0, 6, 7),
+    "string": (0, 1, 2, 3, 4, "5", 6, 7),
+    "2^70": (0, 1, 2, 3, 4, 2 ** 70, 6, 7),
+    "-1": (0, 1, 2, 3, 4, -1, 6, 7),
+    "duplicate": (0, 1, 2, 3, 4, 3, 6, 7),
+    "n": (0, 1, 2, 3, 4, 8, 6, 7),
+    "pair": (0, 1, 2, 3, 4, (5, 5), 6, 7),
+    "all pairs": tuple((v, v) for v in range(8)),
+}
+
+
+@pytest.mark.parametrize("images", BAD_IMAGES.values(), ids=BAD_IMAGES)
+def test_numpy_image_check_refuses_as_the_loop_does(monkeypatch, images):
+    def refusal():
+        with pytest.raises((InputError, TypeError)) as info:
+            Permutation(images)
+        return type(info.value), str(info.value)
+
+    monkeypatch.setattr(core, "_NUMPY_IMAGES", 1 << 62)
+    by_loop = refusal()
+    assert by_loop[0] is TypeError or "at index 5" in by_loop[1]
+    monkeypatch.setattr(core, "_NUMPY_IMAGES", 1)
+    assert refusal() == by_loop
+
+
+def test_numpy_image_check_accepts_what_the_loop_accepts(monkeypatch):
+    monkeypatch.setattr(core, "_NUMPY_IMAGES", 1)
+    assert core._numpy_vouches((2, 0, 1))
+    sigma = Permutation(np.array([2, 0, 1]))
+    assert sigma.images == (2, 0, 1) and type(sigma.images[0]) is np.int64
+    assert Permutation(np.array([1, 0], dtype=np.uint8)).images == (1, 0)
+    assert Permutation((True, False)).images == (1, 0)
+    assert Permutation((True, 0, 2)).images == (1, 0, 2)
+
+
+def test_parsing_and_checking_1e5_images_do_not_import_numpy():
+    script = ("import sys\n"
+              "from quasiperm.core import Permutation, parse_permutation\n"
+              "images = tuple(range(10 ** 5 - 1, -1, -1))\n"
+              "assert parse_permutation(' '.join(map(str, images))).images == images\n"
+              "assert Permutation(images).images == images\n"
+              "sys.exit('numpy' in sys.modules)")
+    proc = run_fresh(script)
+    assert proc.returncode == 0, proc.stderr

@@ -257,11 +257,14 @@ def test_inversions_match_the_pair_count():
     for n in range(8):
         for images in itertools.permutations(range(n)):
             assert patterns._inversions(images) == oracles.brute_inversions(images)
+    # sizes on both sides of the 8-value rows and of every power of two
     rng = random.Random(37)
-    for n in (15, 16, 17, 255, 256, 257, 1000):
+    sizes = [*range(71), *(n for k in range(13) for n in (2 ** k - 1, 2 ** k, 2 ** k + 1)), 1000]
+    for n in sizes:
         images = list(range(n))
         rng.shuffle(images)
-        assert patterns._inversions(images) == oracles.brute_inversions(images), n
+        assert patterns._inversions(images) == oracles.row_inversions(images), n
+    assert type(patterns._inversions((1, 0, 2))) is int
     assert patterns._inversions(tuple(range(999, -1, -1))) == 1000 * 999 // 2
 
 
