@@ -14,10 +14,11 @@ an internal failure.
 Each handler imports the modules it computes with, so `--version`,
 invdist, search-symmetric and pattern-count at any order but 2 never
 import numpy.  Nor do analyze-perm, construct and random-stats on small
-inputs: D and the sampled bound scan Python lists until that work would
-cost about one numpy import (permdisc._LIST_CELLS, one D up to n = 144),
-and random permutations come from rng.PCG64, numpy's stream in pure
-Python.  No call imports dataclasses or numpy.random.
+inputs: core._numpy_pays, the one rule for numpy or lists, keeps D and
+the sampled bound on lists until that work would cost about one numpy
+import (one D up to n = 144), and random permutations come from
+rng.PCG64, numpy's stream in pure Python.  No call imports dataclasses
+or numpy.random.
 """
 
 from __future__ import annotations

@@ -47,7 +47,8 @@ def tensor(sigma: Permutation, tau: Permutation) -> Permutation:
     n, m = sigma.n, tau.n
     if n * m > MAX_PRODUCT_SIZE:
         raise InputError(f"product size {n * m} too large")
-    return Permutation([tau.images[x // n] + m * sigma.images[x % n] for x in range(n * m)])
+    return Permutation._trusted(tuple([tau.images[x // n] + m * sigma.images[x % n]
+                                       for x in range(n * m)]))
 
 
 def _check_power_size(base: int, factors: int) -> None:
@@ -126,7 +127,7 @@ def random_permutation(n: int, seed: int) -> Permutation:
     for i in range(n - 1, 0, -1):
         j = rng.integer_below(i + 1)
         images[i], images[j] = images[j], images[i]
-    return Permutation(images)
+    return Permutation._trusted(tuple(images))
 
 
 class InversionDistribution(Record):

@@ -201,10 +201,9 @@ class ZnSubset(Record):
 class Permutation(Record):
     """A permutation of Z_n in one-line notation: images[i] = sigma(i).
 
-    The images are checked by a loop that names the first bad one.  From
-    _NUMPY_IMAGES images on, while numpy is loaded, one pass in numpy
-    checks them first, and only images it cannot vouch for go to the loop,
-    so a refusal is the loop's either way."""
+    The images are checked by a loop that names the first bad one.  What
+    the library has already shown to be a permutation, its own
+    constructions and parses that numpy checked, is built by _trusted."""
 
     __slots__ = ("images",)
     images: tuple
@@ -214,15 +213,22 @@ class Permutation(Record):
         n = len(images)
         if n == 0:
             raise InputError("permutation must be nonempty")
-        if n < _NUMPY_IMAGES or "numpy" not in sys.modules or not _numpy_vouches(images):
-            seen = [False] * n
-            for i, v in enumerate(images):
-                if not 0 <= v < n:
-                    raise InputError(f"image {_cut(str(v))} at index {i} outside [0, {n})")
-                if seen[v]:
-                    raise InputError(f"duplicate image {v} at index {i}")
-                seen[v] = True
+        seen = [False] * n
+        for i, v in enumerate(images):
+            if not 0 <= v < n:
+                raise InputError(f"image {_cut(str(v))} at index {i} outside [0, {n})")
+            if seen[v]:
+                raise InputError(f"duplicate image {v} at index {i}")
+            seen[v] = True
         object.__setattr__(self, "images", images)
+
+    @classmethod
+    def _trusted(cls, images: tuple) -> "Permutation":
+        """The permutation with these images, a nonempty tuple known to
+        hold each of 0, ..., n - 1 once, built without the check."""
+        sigma = object.__new__(cls)
+        object.__setattr__(sigma, "images", images)
+        return sigma
 
     @property
     def n(self) -> int:
@@ -239,44 +245,38 @@ class Permutation(Record):
         inv = [0] * self.n
         for i, v in enumerate(self.images):
             inv[v] = i
-        return Permutation(tuple(inv))
+        return Permutation._trusted(tuple(inv))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self . other)(x) = self(other(x))."""
         _check_moduli(self.n, other.n)
-        return Permutation(tuple(self.images[v] for v in other.images))
+        return Permutation._trusted(tuple(self.images[v] for v in other.images))
 
     def reversed_one_line(self) -> "Permutation":
         """The one-line notation read right to left."""
-        return Permutation(tuple(reversed(self.images)))
+        return Permutation._trusted(tuple(reversed(self.images)))
 
 
-# Permutation checks this many images or more in numpy when numpy is
-# loaded.  On a 2-core x86-64 machine (medians of 15) the loop took 48-51
-# ns an image from n = 150 to 10^4, and the numpy pass about 6 us and then
-# 34 ns an image, most of it np.array reading the ints; they broke even at
-# n = 384.  At 10^5 the loop took 7.5-8.4 ms and numpy 3.5-3.7 ms.
-_NUMPY_IMAGES = 384
+# List cells worth loading numpy once, per process.  On a 2-core x86-64
+# host a fresh `quasiperm analyze-perm` at n = 32 took 211-216 ms on arrays
+# and 81 ms on lists (medians of 15 calls), and D's list scan 70-115 ns a
+# cell from n = 32 to 144: 1.5 * 10^6 cells, 105-170 ms, one D up to 144.
+_LIST_CELLS = 1_500_000
+_list_cells_left = _LIST_CELLS
 
 
-def _numpy_vouches(images: tuple) -> bool:
-    """Whether numpy shows images to be a permutation of Z_n: one array of
-    n integers in [0, n), each value seen.  np.array keeps floats and
-    strings out of integer dtypes, where np.fromiter would convert them.
-    False sends images to Permutation's loop, which accepts them or raises
-    as it would without numpy."""
-    import numpy as np
-
-    n = len(images)
-    try:
-        values = np.array(images)
-    except (TypeError, ValueError):  # ragged images, say: the loop judges them
-        return False
-    if values.dtype.kind != "i" or values.shape != (n,) or values.min() < 0 or values.max() >= n:
-        return False
-    seen = np.zeros(n, dtype=bool)
-    seen[values] = True
-    return bool(seen.all())
+def _numpy_pays(cells: int) -> bool:
+    """The library's one rule for numpy or Python lists: whether work of
+    `cells` list cells goes to numpy, as it does once numpy is loaded or
+    once this process's list cells, these included, would pass _LIST_CELLS;
+    otherwise they are spent from that allowance.  That is rent-or-buy
+    (Karlin, Manasse, Rudolph & Sleator 1988): a process never pays much
+    more than twice the better of the two.  Parsing asks with 0 cells."""
+    global _list_cells_left
+    if "numpy" in sys.modules or cells > _list_cells_left:
+        return True
+    _list_cells_left -= cells
+    return False
 
 
 def _check_moduli(n1: int, n2: int) -> None:
@@ -298,22 +298,22 @@ _SLICE = 1 << 14
 _SEPARATOR = re.compile(r"[\s,]")
 
 
-def _integer_slices(text: str) -> Iterator[list]:
+def _integer_slices(text: str, arrays: list | None = None) -> Iterator[list]:
     """The tokens of text, split at commas and whitespace as
     text.replace(",", " ").split() splits it, as integers, one slice at a
     time.  A slice runs from where the last one ended to just past the first
     separator at or beyond _SLICE characters on, or to the end of the text,
-    so no token is cut.  While numpy is loaded, numpy reads each slice that
-    _fromstring_values vouches for; every other slice is split and
-    converted by int().  The first token that is not an integer raises
-    InputError with it, cut, and its index in the whole text."""
-    numpy_loaded = "numpy" in sys.modules
+    so no token is cut.  Where numpy pays (_numpy_pays), numpy reads each
+    slice that _fromstring_values vouches for, its int64 array also going
+    into `arrays`, and int() converts the rest.  The first token that is
+    not an integer raises InputError with it, cut, and its index."""
+    numpy_reads = _numpy_pays(0)
     pos, index = 0, 0
     while pos < len(text):
         found = _SEPARATOR.search(text, pos + _SLICE)
         end = found.end() if found else len(text)
         chunk = text[pos:end].replace(",", " ")
-        values = _fromstring_values(chunk) if numpy_loaded else None
+        values = _fromstring_values(chunk, arrays) if numpy_reads else None
         if values is None:
             tokens = chunk.split()
             try:
@@ -335,16 +335,15 @@ _BYTE_CLASS = bytes(
     for c in map(chr, range(256)))
 
 
-def _fromstring_values(chunk: str) -> list | None:
-    """The integers of chunk, a slice without commas, as numpy's
-    fromstring reads them, or None unless the tokens are sure to read as
-    int() reads them.  That takes ASCII whitespace that both str.split()
-    and fromstring take, digits and signs, each sign at the start of a
-    token and before a digit, as many values as tokens, and no value at an
-    int64 bound.  fromstring's separator also matches nothing at all, so
-    "1-2" would read as 1 and -2; it skips whitespace after a sign, so
-    "- 5" would read as -5; it reads a text with no token as 0; and it
-    reads a token past int64 as the int64 maximum."""
+def _fromstring_values(chunk: str, arrays: list | None = None) -> list | None:
+    """The integers of chunk, a slice without commas, as numpy's fromstring
+    reads them into an int64 array, which also goes into `arrays`, or None
+    unless they are sure to read as int() reads them: at least one token,
+    ASCII whitespace that str.split() and fromstring both take, digits and
+    signs, each sign at a token's start before a digit, as many values as
+    tokens and none at an int64 bound.  Else fromstring would read "1-2" as
+    1 and -2 (its separator matches nothing too), "- 5" as -5, a text with
+    no token as 0 and a token past int64 as the int64 maximum."""
     if not chunk.isascii():
         return None
     classes = chunk.encode("ascii").translate(_BYTE_CLASS)
@@ -353,12 +352,16 @@ def _fromstring_values(chunk: str) -> list | None:
         return None
     import numpy as np
 
-    values = np.fromstring(chunk, dtype=np.int64, sep=" ")
     in_token = np.frombuffer(classes, dtype=np.uint8) != ord(" ")
     tokens = int(in_token[0]) + np.count_nonzero(in_token[1:] > in_token[:-1])
+    if not tokens:
+        return None
+    values = np.fromstring(chunk, dtype=np.int64, sep=" ")
     bounds = np.iinfo(np.int64)
     if len(values) != tokens or values.min() == bounds.min or values.max() == bounds.max:
         return None
+    if arrays is not None:
+        arrays.append(values)
     return values.tolist()
 
 
@@ -370,16 +373,33 @@ def _is_integer(token: str) -> bool:
     return True
 
 
-def _integers(text: str) -> tuple:
+def _integers(text: str, arrays: list | None = None) -> tuple:
     """The integers of _integer_slices, straight into one tuple."""
-    return tuple(chain.from_iterable(_integer_slices(text)))
+    return tuple(chain.from_iterable(_integer_slices(text, arrays)))
+
+
+def _permutes(arrays: list, n: int) -> bool:
+    """Whether int64 arrays of n values in all hold each of 0, ..., n - 1."""
+    import numpy as np
+
+    seen = np.zeros(n, dtype=bool)
+    for values in arrays:
+        if values.min() < 0 or values.max() >= n:
+            return False
+        seen[values] = True
+    return bool(seen.all())
 
 
 def parse_permutation(text: str) -> Permutation:
-    """Parse whitespace- or comma-separated 0-based images."""
-    images = _integers(text)
+    """Parse whitespace- or comma-separated 0-based images.  Where numpy
+    read them all, its arrays are checked; otherwise, or if one is bad,
+    Permutation's loop checks them and names the first bad one."""
+    arrays = []
+    images = _integers(text, arrays)
     if not images:
         raise InputError("empty input")
+    if sum(map(len, arrays)) == len(images) and _permutes(arrays, len(images)):
+        return Permutation._trusted(images)
     return Permutation(images)
 
 

@@ -129,7 +129,8 @@ def profile(sigma: Permutation, m: int) -> ProfileVector:
     Order 2 counts inversions, and order 3 takes one pass of corner counts
     (`_corner_counts`).  Orders m >= 4 push sigma's values one by one onto
     the packed counts of `layout`.  Every order from 3 on is refused unless
-    the push_work of the n pushes is at most MAX_PROFILE_STEPS."""
+    its push steps, the push_work of the n pushes or, at order 3, a bit
+    count of ceil(n / 64) words per value, are at most MAX_PROFILE_STEPS."""
     n = sigma.n
     if m < 0:
         raise InputError(f"order {_cut(str(m))} is negative")
@@ -143,7 +144,8 @@ def profile(sigma: Permutation, m: int) -> ProfileVector:
         inv = _inversions(sigma.images)
         return ProfileVector(m, n, (comb(n, 2) - inv, inv))
     # push_work summed over the lengths L < n, as sum(C(L, j)) = C(n, j + 1)
-    work = sum(comb(n, 2) if k <= 4 else comb(n, k - 1) for k in range(3, m + 1))
+    work = n * -(-n // 64) if m == 3 else sum(
+        comb(n, 2) if k <= 4 else comb(n, k - 1) for k in range(3, m + 1))
     if work > MAX_PROFILE_STEPS:
         raise InputError(f"order-{m} profile of size {n} takes {work} push steps, "
                          f"beyond the limit {MAX_PROFILE_STEPS}")

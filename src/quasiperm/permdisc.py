@@ -16,17 +16,10 @@ of the complement (b, n - b + a).  The range (max - min) of the profile is
 n * max_J D_J(sigma(I)) for both, and core.profile_witness gives it and
 the J.  So D is the largest range over the row pairs (a, b).
 
-D and the sampled bound scan one table on lists or on arrays, with the same
-answers and witnesses.  A cell is one row pair and one column, so D
-takes discrepancy_cells(n) and the sampled bound n^2 per start, plus n^2
-for the rows.  The list scan keeps q as n Python lists and costs 70-115
-ns a cell; the array scan keeps q in numpy, which costs loading numpy
-(about 130 ms in a fresh process) and then 1-5 ns a cell.  So a process
-scans on lists while numpy is not loaded and its list cells, this call's
-included, stay within _LIST_CELLS, about one load's worth; any other call
-loads numpy and takes the array scan.  That is rent-or-buy (Karlin,
-Manasse, Rudolph & Sleator 1988): a process never pays much more than
-twice the better of the two.  Only the time differs, never the answer.
+D and the sampled bound scan one table as Python lists or numpy arrays,
+with the same answers and witnesses, as core._numpy_pays rules for their
+cells, one row pair and one column each: discrepancy_cells(n) for D and
+n^2 per start, plus n^2 for the rows, for the sampled bound.
 
 The array scan of D has one loop.  It takes row 0 exactly, which d and
 d' need anyway, as its first best, and then blocks of starts, each block
@@ -76,12 +69,12 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from fractions import Fraction
 from math import comb, factorial
 from operator import add, sub
 from typing import TYPE_CHECKING
 
+from . import core
 from .core import (CyclicInterval, InputError, Permutation, Record, _check_moduli, _cut,
                    image_of_interval, profile_witness, scaled_discrepancy_in)
 
@@ -110,14 +103,6 @@ _COARSE = 4
 # 212-220, 222-233 and 415-524 ms.
 _ROW_CELLS = 1 << 16
 
-# List cells worth loading numpy once, per process.  On a 2-core x86-64
-# host a fresh `quasiperm analyze-perm` at n = 32 took 211-216 ms on the
-# array scan and 81 ms on lists (medians of 15 calls), and the list scan
-# of D took 70-115 ns a cell from n = 32 to 144: 1.5 * 10^6 cells is
-# 105-170 ms.  One D up to n = 144 fits.
-_LIST_CELLS = 1_500_000
-_list_cells_left = _LIST_CELLS
-
 
 class PermDiscrepancyReport(Record):
     """n-scaled discrepancy maxima with the intervals attaining them."""
@@ -141,16 +126,6 @@ def discrepancy_of_pair(sigma: Permutation, i: CyclicInterval,
     for iv in (i, j):
         _check_moduli(iv.n, sigma.n)
     return scaled_discrepancy_in(image_of_interval(sigma, i), j.to_subset())
-
-
-def _lists_pay(cells: int) -> bool:
-    """Whether a scan of `cells` cells runs on lists: only while numpy is
-    not loaded and the process's list cells stay within _LIST_CELLS."""
-    global _list_cells_left
-    if "numpy" in sys.modules or cells > _list_cells_left:
-        return False
-    _list_cells_left -= cells
-    return True
 
 
 def discrepancy_cells(n: int) -> int:
@@ -371,8 +346,8 @@ def perm_discrepancy(sigma: Permutation) -> PermDiscrepancyReport:
     shortest witnesses of d and d'.  The scan is on lists or arrays, as
     the module docstring says.
     """
-    return _report(sigma, _list_scan if _lists_pay(discrepancy_cells(sigma.n))
-                   else _array_scan)
+    return _report(sigma, _array_scan if core._numpy_pays(discrepancy_cells(sigma.n))
+                   else _list_scan)
 
 
 def restricted_discrepancies(sigma: Permutation) -> tuple:
@@ -479,7 +454,7 @@ def sampled_discrepancy_lower_bound(sigma: Permutation, samples: int,
     if not starts:
         return 0
     # making the rows twice costs about one more start
-    scan = _list_sampled if _lists_pay((len(starts) + 1) * n * n) else _array_sampled
+    scan = _array_sampled if core._numpy_pays((len(starts) + 1) * n * n) else _list_sampled
     return scan(sigma, starts)
 
 

@@ -213,7 +213,7 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
         # tables before the solutions are copied
         del extend, merged
     found.sort()
-    return SymmetrySearchResult(n, m, [Permutation(p) for p in found], nodes, exhaustive)
+    return SymmetrySearchResult(n, m, [Permutation._trusted(p) for p in found], nodes, exhaustive)
 
 
 def fixed_counts(n: int, values: list, packed: int, diff: list) -> tuple:

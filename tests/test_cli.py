@@ -24,7 +24,7 @@ from quasiperm.permdisc import MAX_DISCREPANCY_SIZE
 from quasiperm.symmetry import MAX_SEARCH_SIZE, SymmetrySearchResult
 
 from fresh import run_fresh
-from oracles import brute_B, push_work
+from oracles import brute_B
 
 
 def run_cli(capsys, *argv):
@@ -199,10 +199,10 @@ def test_pattern_count_orders_3_and_4(capsys, tmp_path):
 
 
 def test_pattern_count_over_step_limit_is_invalid_input(tmp_path, capsys):
-    # the least n whose order-3 pushes, push_work summed over the prefix
-    # lengths 0..n-1, pass the limit; order 4 refuses it too
-    work = itertools.accumulate(push_work(3, length) for length in itertools.count())
-    n = next(n for n, total in enumerate(work, start=1) if total > MAX_PROFILE_STEPS)
+    # the least n whose order-3 corner pass, n bit counts of ceil(n / 64)
+    # words, passes the limit; order 4 refuses it too
+    n = next(n for n in itertools.count(1) if n * math.ceil(n / 64) > MAX_PROFILE_STEPS)
+    assert n == 17858
     big = tmp_path / "big.txt"
     big.write_text(" ".join(map(str, range(n))) + "\n")
     for extra in (("--m", "3"), ("--m", "3", "--pattern", "0 2 1"), ("--m", "4")):

@@ -2,11 +2,12 @@ import pickle
 import random
 import tracemalloc
 
-# with numpy loaded, the parse tests read every slice that
-# core._fromstring_values vouches for by numpy's fromstring
+# with numpy loaded, the tests that do not take the numpy_pays fixture
+# read every slice that core._fromstring_values vouches for by numpy's
+# fromstring
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quasiperm import core
 from quasiperm.core import (
@@ -65,13 +66,13 @@ def test_interval_validation():
         CyclicInterval(5, 0, 6)
 
 
-def test_parse_serialize_permutation_roundtrip():
+def test_parse_serialize_permutation_roundtrip(numpy_pays):
     p = parse_permutation("3, 0 1,2")
     assert p.images == (3, 0, 1, 2)
     assert parse_permutation(serialize_permutation(p)) == p
 
 
-def test_parse_permutation_errors_name_the_index():
+def test_parse_permutation_errors_name_the_index(numpy_pays):
     with pytest.raises(InputError, match="index 1"):
         parse_permutation("0 x 2")
     with pytest.raises(InputError, match="index 2"):
@@ -82,7 +83,7 @@ def test_parse_permutation_errors_name_the_index():
         parse_permutation("0 5 1")
 
 
-def test_parse_set_roundtrip_and_errors():
+def test_parse_set_roundtrip_and_errors(numpy_pays):
     s = parse_set("10: 0 2 4, 6 8")
     assert s.n == 10 and sorted(s.members) == [0, 2, 4, 6, 8]
     assert parse_set(serialize_set(s)) == s
@@ -94,7 +95,7 @@ def test_parse_set_roundtrip_and_errors():
         parse_set("10: 3 3")
 
 
-def test_parse_set_modulus_limit_raises_before_allocating():
+def test_parse_set_modulus_limit_raises_before_allocating(numpy_pays):
     assert parse_set(f"{MAX_SET_MODULUS}: 0 7").size == 2
     tracemalloc.start()
     try:
@@ -163,7 +164,7 @@ def test_image_of_interval():
     assert sorted(img.members) == [1, 2]
 
 
-def test_a_token_of_exactly_40_characters_is_shown_whole():
+def test_a_token_of_exactly_40_characters_is_shown_whole(numpy_pays):
     for length, shown in ((40, f"'{'x' * 40}'"), (41, f"'{'x' * 40}'...")):
         with pytest.raises(InputError) as info:
             parse_permutation("0 " + "x" * length)
@@ -221,7 +222,7 @@ BOUNDARY_TEXTS = {
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 8, 16])
 @pytest.mark.parametrize("text", BOUNDARY_TEXTS.values(), ids=BOUNDARY_TEXTS)
-def test_parsers_read_each_slice_size_as_the_whole_text(monkeypatch, size, text):
+def test_parsers_read_each_slice_size_as_the_whole_text(monkeypatch, numpy_pays, size, text):
     whole = [_parsed(parse_permutation, text), _parsed(parse_set, "200: " + text)]
     monkeypatch.setattr(core, "_SLICE", size)
     assert _parsed(core._integers, text) == whole_text_integers(text)
@@ -229,7 +230,8 @@ def test_parsers_read_each_slice_size_as_the_whole_text(monkeypatch, size, text)
 
 
 @pytest.mark.parametrize("size", [1, 3, 8, 1 << 14])
-def test_a_bad_token_in_a_later_slice_keeps_its_message_and_index(monkeypatch, size):
+def test_a_bad_token_in_a_later_slice_keeps_its_message_and_index(monkeypatch, numpy_pays,
+                                                                  size):
     monkeypatch.setattr(core, "_SLICE", size)
     images = [str(v) for v in range(200)]
     for index, bad in ((150, "1x"), (199, "9" * 5000), (0, "-")):
@@ -243,18 +245,20 @@ def test_a_bad_token_in_a_later_slice_keeps_its_message_and_index(monkeypatch, s
 
 @pytest.mark.parametrize("size", [1, 2, 1 << 14])
 @pytest.mark.parametrize("text", ["", " ", ",", " , \n", "\u2003\x85 ", ",,,,,,,,,,"])
-def test_empty_or_separator_only_text_is_empty_input(monkeypatch, size, text):
+def test_empty_or_separator_only_text_is_empty_input(monkeypatch, numpy_pays, size, text):
     monkeypatch.setattr(core, "_SLICE", size)
     with pytest.raises(InputError, match="^empty input$"):
         parse_permutation(text)
     assert parse_set("5:" + text) == ZnSubset.empty(5)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+# numpy_pays is set once per test, and every example reads it alike
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=st.text(st.sampled_from("0123456789, \n\u2003\x85-x+\t\r\x0b\x0c\x1c_.\u0663"),
                    max_size=60),
        size=st.integers(1, 9))
-def test_fuzzed_text_splits_as_the_whole_text_does(text, size):
+def test_fuzzed_text_splits_as_the_whole_text_does(numpy_pays, text, size):
     old = core._SLICE
     core._SLICE = size
     try:
@@ -295,7 +299,7 @@ def test_fromstring_reads_a_slice_only_where_int_reads_it_alike(text, values):
 def test_parsing_reads_each_slice_by_fromstring_first(monkeypatch):
     fromstring, read = core._fromstring_values, []
     monkeypatch.setattr(core, "_fromstring_values",
-                        lambda chunk: read.append(chunk) or fromstring(chunk))
+                        lambda chunk, arrays: read.append(chunk) or fromstring(chunk, arrays))
     monkeypatch.setattr(core, "_SLICE", 4)
     assert parse_permutation("3 0 1,2 4").images == (3, 0, 1, 2, 4)
     assert read == ["3 0 1 ", "2 4"]
@@ -316,27 +320,48 @@ BAD_IMAGES = {
 
 
 @pytest.mark.parametrize("images", BAD_IMAGES.values(), ids=BAD_IMAGES)
-def test_numpy_image_check_refuses_as_the_loop_does(monkeypatch, images):
-    def refusal():
-        with pytest.raises((InputError, TypeError)) as info:
-            Permutation(images)
-        return type(info.value), str(info.value)
-
-    monkeypatch.setattr(core, "_NUMPY_IMAGES", 1 << 62)
-    by_loop = refusal()
-    assert by_loop[0] is TypeError or "at index 5" in by_loop[1]
-    monkeypatch.setattr(core, "_NUMPY_IMAGES", 1)
-    assert refusal() == by_loop
+def test_numpy_image_check_refuses_as_the_loop_does(images):
+    # the loop names the bad image; parsing the text of integer images,
+    # whose arrays numpy checks, refuses with the loop's message
+    with pytest.raises((InputError, TypeError)) as info:
+        Permutation(images)
+    by_loop = str(info.value)
+    assert info.type is TypeError or "at index 5" in by_loop
+    if all(type(v) is int for v in images):
+        assert _parsed(parse_permutation, " ".join(map(str, images))) == by_loop
 
 
-def test_numpy_image_check_accepts_what_the_loop_accepts(monkeypatch):
-    monkeypatch.setattr(core, "_NUMPY_IMAGES", 1)
-    assert core._numpy_vouches((2, 0, 1))
+def test_numpy_image_check_accepts_what_the_loop_accepts():
     sigma = Permutation(np.array([2, 0, 1]))
     assert sigma.images == (2, 0, 1) and type(sigma.images[0]) is np.int64
     assert Permutation(np.array([1, 0], dtype=np.uint8)).images == (1, 0)
     assert Permutation((True, False)).images == (1, 0)
     assert Permutation((True, 0, 2)).images == (1, 0, 2)
+    parsed = parse_permutation("2 0 1")
+    assert parsed == Permutation((2, 0, 1)) and type(parsed.images[0]) is int
+
+
+@pytest.mark.parametrize("bad", ["-1", "n", "2^40", "duplicate"])
+def test_array_check_refuses_a_bad_image_in_a_later_slice_as_the_loop_does(
+        monkeypatch, numpy_pays, bad):
+    # three slices of about 2^14 characters; the bad image is in the last
+    size = core._SLICE // 2
+    images = list(range(size))
+    random.Random(size).shuffle(images)
+    permutes, checked = core._permutes, []
+    monkeypatch.setattr(core, "_permutes",
+                        lambda arrays, n: checked.append(permutes(arrays, n)) or checked[-1])
+    assert parse_permutation(" ".join(map(str, images))).images == tuple(images)
+    index = size - 3
+    images[index] = {"-1": -1, "n": size, "2^40": 2 ** 40, "duplicate": images[5]}[bad]
+    assert len(" ".join(map(str, images[:index]))) > 2 * core._SLICE
+    with pytest.raises(InputError) as by_loop:
+        Permutation(images)
+    assert f"at index {index}" in str(by_loop.value)
+    assert _parsed(parse_permutation, " ".join(map(str, images))) == str(by_loop.value)
+    # numpy read every slice, so the array check ran: it accepted the
+    # permutation and refused the bad image
+    assert checked == ([True, False] if numpy_pays else [])
 
 
 def test_parsing_and_checking_1e5_images_do_not_import_numpy():

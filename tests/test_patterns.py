@@ -37,8 +37,11 @@ from oracles import brute_B, brute_count_pattern, brute_profile, count_pattern_e
 
 
 def first_refused_size(m):
-    """The least n whose n pushes at order m, push_work summed over the
-    prefix lengths 0..n-1, pass MAX_PROFILE_STEPS."""
+    """The least n whose order-m profile passes MAX_PROFILE_STEPS: at
+    order 3 the n bit counts of ceil(n / 64) words of the corner pass, above
+    it the n pushes, push_work summed over the prefix lengths 0..n-1."""
+    if m == 3:
+        return next(n for n in itertools.count(1) if n * math.ceil(n / 64) > MAX_PROFILE_STEPS)
     work = itertools.accumulate(oracles.push_work(m, length) for length in itertools.count())
     return next(n for n, total in enumerate(work, start=1) if total > MAX_PROFILE_STEPS)
 
@@ -148,9 +151,10 @@ def test_order3_corner_counts_at_the_largest_admitted_size():
 
 
 def test_profile_step_limit_raises_before_allocating():
-    # the smallest size at each order whose pushes pass the limit, refused
+    # the smallest size at each order whose steps pass the limit, refused
     # with one message form at every order
     big = {m: Permutation.identity(first_refused_size(m)) for m in range(3, 7)}
+    assert big[3].n == 17858
     tracemalloc.start()
     try:
         for sigma, m in (*((big[m], m) for m in big), (big[3], 4), (big[4], 6)):

@@ -6,9 +6,9 @@ from math import comb, exp, factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from quasiperm import permdisc
+from quasiperm import core, permdisc
 from quasiperm.core import (CyclicInterval, InputError, Permutation, image_of_interval,
                             scaled_discrepancy_in)
 from quasiperm.permdisc import (
@@ -80,14 +80,14 @@ assert "numpy" not in sys.modules
     assert proc.returncode == 0, proc.stderr
 
 
-def test_perm_discrepancy_matches_brute_force_exhaustive():
+def test_perm_discrepancy_matches_brute_force_exhaustive(numpy_pays):
     for n in (2, 3, 4):
         for images in itertools.permutations(range(n)):
             sigma = Permutation(images)
             assert perm_discrepancy(sigma).scaled_D == brute_perm_discrepancy(sigma)
 
 
-def test_perm_discrepancy_matches_brute_force_random():
+def test_perm_discrepancy_matches_brute_force_random(numpy_pays):
     rng = random.Random(53)
     for n in (7, 12, 20):
         for _ in range(10):
@@ -98,7 +98,7 @@ def test_perm_discrepancy_matches_brute_force_random():
                                        rep.witness_J) == rep.scaled_D
 
 
-def test_restricted_matches_brute_force():
+def test_restricted_matches_brute_force(numpy_pays):
     rng = random.Random(59)
     for n in (4, 7, 11):
         for _ in range(10):
@@ -133,7 +133,7 @@ def _tie_break_corpus():
                           Permutation((0, 2, 1))])
 
 
-def test_witnesses_follow_the_tie_breaks():
+def test_witnesses_follow_the_tie_breaks(numpy_pays):
     # D: first start, then shortest length; d and d': shortest initial and
     # final interval.  Every interval ties with its complement, so these
     # rules pick one of at least two maximal intervals.
@@ -160,19 +160,24 @@ def test_witnesses_follow_the_tie_breaks():
             assert discrepancy_of_pair(sigma, i, j) == value
 
 
+def _array_report(sigma):
+    return permdisc._report(sigma, permdisc._array_scan)
+
+
 def _assert_reports_equal(got, expected):
     for field in PermDiscrepancyReport.__slots__:
         assert getattr(got, field) == getattr(expected, field), (expected.n, field)
 
 
-def test_perm_discrepancy_matches_the_row_scan_oracle():
+def test_perm_discrepancy_matches_the_row_scan_oracle(numpy_pays):
     # the exact case of an int16 table takes several blocks of starts from
     # n = 97 on, so the first-maximum tie-break is checked across block edges
     rng = random.Random(89)
     corpus = [random_permutation(n, rng.randrange(10 ** 6))
               for n in (50, 97, 128, 200, 256)]
     corpus += [digit_reversal(2, k) for k in range(5, 9)]
-    for sigma in corpus:
+    # lists scan D only within core._LIST_CELLS, up to n = 144
+    for sigma in (s for s in corpus if numpy_pays or s.n <= 144):
         _assert_reports_equal(perm_discrepancy(sigma),
                               row_scan_perm_discrepancy(sigma))
 
@@ -181,7 +186,6 @@ def test_perm_discrepancy_matches_the_row_scan_oracle():
 def int32_table(monkeypatch):
     # the pruned scan of an int32 table, which n > 362 takes, at any n
     monkeypatch.setattr(permdisc, "_table_dtype", lambda n: np.int32)
-    monkeypatch.setattr(permdisc, "_lists_pay", lambda cells: False)
 
 
 def test_coarse_range_and_slack_bound_every_range():
@@ -207,7 +211,7 @@ def test_pruned_scan_matches_the_row_scan_oracle_exhaustive(int32_table):
     for n in range(1, 8):
         for images in itertools.permutations(range(n)):
             sigma = Permutation(images)
-            _assert_reports_equal(perm_discrepancy(sigma), row_scan_perm_discrepancy(sigma))
+            _assert_reports_equal(_array_report(sigma), row_scan_perm_discrepancy(sigma))
 
 
 def test_pruned_scan_matches_the_row_scan_oracle(int32_table):
@@ -221,7 +225,7 @@ def test_pruned_scan_matches_the_row_scan_oracle(int32_table):
                                for size in sizes])
                for sizes in ((4, 4, 4), (3, 5, 7), (8, 16), (2,) * 7)]
     for sigma in corpus:
-        _assert_reports_equal(perm_discrepancy(sigma), row_scan_perm_discrepancy(sigma))
+        _assert_reports_equal(_array_report(sigma), row_scan_perm_discrepancy(sigma))
 
 
 @pytest.mark.parametrize("n", [2, 97, 362])
@@ -230,11 +234,10 @@ def test_int16_table_is_scanned_exactly(monkeypatch, n):
     def refuse(*args):
         raise AssertionError("the int16 table took the pruned case")
 
-    monkeypatch.setattr(permdisc, "_lists_pay", lambda cells: False)
     monkeypatch.setattr(permdisc, "_slack_table", refuse)
     monkeypatch.setattr(permdisc, "_pair_ranges", refuse)
     sigma = random_permutation(n, 7 * n)
-    _assert_reports_equal(perm_discrepancy(sigma), row_scan_perm_discrepancy(sigma))
+    _assert_reports_equal(_array_report(sigma), row_scan_perm_discrepancy(sigma))
 
 
 def test_int32_table_is_pruned(monkeypatch):
@@ -246,7 +249,7 @@ def test_int32_table_is_pruned(monkeypatch):
             return f(*args)
         return called
 
-    monkeypatch.setattr(permdisc, "_lists_pay", lambda cells: False)
+    # D at n = 363 takes more cells than lists ever do
     for name in ("_slack_table", "_pair_ranges"):
         monkeypatch.setattr(permdisc, name, spy(getattr(permdisc, name)))
     sigma = random_permutation(363, 7 * 363)
@@ -268,7 +271,7 @@ def test_list_scan_matches_the_array_scan_exhaustive():
 def test_list_scan_matches_the_array_scan_up_to_its_allowance():
     # the largest n whose D fits the allowance in one call
     top = max(n for n in range(1, 1000)
-              if n * n * (n - 1) // 2 <= permdisc._LIST_CELLS)
+              if n * n * (n - 1) // 2 <= core._LIST_CELLS)
     for n in (8, 13, 31, 32, 47, 64, 97, top):
         for seed in range(3):
             _scans_agree(random_permutation(n, 1000 * n + seed))
@@ -276,15 +279,18 @@ def test_list_scan_matches_the_array_scan_up_to_its_allowance():
 
 
 @pytest.mark.parametrize("samples", [0, 1, 5, 40, 1000])
-def test_list_sampled_bound_matches_the_array_scan(monkeypatch, samples):
-    corpus = [(random_permutation(n, 7 * n + seed), seed)
-              for n in (1, 5, 17, 40) for seed in range(4)]
-    bounds = []
-    for lists in (True, False):
-        monkeypatch.setattr(permdisc, "_lists_pay", lambda cells: lists)
-        bounds.append([sampled_discrepancy_lower_bound(sigma, samples, seed)
-                       for sigma, seed in corpus])
-    assert bounds[0] == bounds[1]
+def test_list_sampled_bound_matches_the_array_scan(samples):
+    # the starts sampled_discrepancy_lower_bound(sigma, samples, seed) draws
+    for n in (1, 5, 17, 40):
+        for seed in range(4):
+            sigma = random_permutation(n, 7 * n + seed)
+            rng = random.Random(seed)
+            starts = {rng.randrange(n) for _ in range(samples)}
+            if starts:
+                assert (permdisc._list_sampled(sigma, starts)
+                        == permdisc._array_sampled(sigma, starts))
+            else:
+                assert sampled_discrepancy_lower_bound(sigma, samples, seed) == 0
 
 
 def test_list_scan_gives_way_to_numpy_once_its_allowance_is_spent():
@@ -292,11 +298,11 @@ def test_list_scan_gives_way_to_numpy_once_its_allowance_is_spent():
 import random
 import sys
 
-from quasiperm import permdisc
+from quasiperm import core, permdisc
 from quasiperm.core import Permutation
 
 n = 64
-calls = permdisc._LIST_CELLS // (n * n * (n - 1) // 2)
+calls = core._LIST_CELLS // (n * n * (n - 1) // 2)
 sigmas = []
 for seed in range(calls + 2):
     images = list(range(n))
@@ -355,7 +361,7 @@ PINNED_REPORTS = [
 
 
 @pytest.mark.parametrize("images, expected", PINNED_REPORTS)
-def test_perm_discrepancy_reports_are_pinned(images, expected):
+def test_perm_discrepancy_reports_are_pinned(numpy_pays, images, expected):
     # the identity, the reversal, digit reversal 2^3, two permutations
     # whose witness profiles have tied extrema (so the J tie-break shows)
     # and one whose d' witness is not the complement of its d witness
@@ -370,7 +376,7 @@ def test_perm_discrepancy_reports_are_pinned(images, expected):
         dp, tuple(map(iv, wit_dp)))
 
 
-def test_restricted_never_exceeds_full():
+def test_restricted_never_exceeds_full(numpy_pays):
     rng = random.Random(61)
     for _ in range(25):
         n = rng.randint(2, 16)
@@ -437,7 +443,7 @@ def test_exclusion_lower_bound_underflows_instead_of_overflowing():
                                                             rel=1e-15)
 
 
-def test_sampled_lower_bound_is_a_lower_bound():
+def test_sampled_lower_bound_is_a_lower_bound(numpy_pays):
     rng = random.Random(71)
     for _ in range(10):
         n = rng.randint(4, 16)
@@ -451,7 +457,7 @@ def test_sampled_lower_bound_is_a_lower_bound():
                 == perm_discrepancy(sigma).scaled_D)
 
 
-def test_sampled_bound_work_is_bounded_by_the_starts():
+def test_sampled_bound_work_is_bounded_by_the_starts(numpy_pays):
     # drawing stops once every start is seen, so a huge sample count is
     # one scan per start and gives the exact value
     sigma = random_permutation(12, 79)
@@ -507,9 +513,9 @@ def test_array_sampled_bound_on_an_int32_table_matches_the_whole_table(monkeypat
 
 
 @pytest.mark.parametrize("n, limit", [(1024, 1.5 * 10 ** 6), (4096, 4 * 10 ** 6)])
-def test_sampled_bound_and_restricted_read_rows_in_blocks(monkeypatch, n, limit):
-    # neither holds an n x n array: 4 MB at n = 1024 and 67 MB at 4096 in int32
-    monkeypatch.setattr(permdisc, "_lists_pay", lambda cells: False)
+def test_sampled_bound_and_restricted_read_rows_in_blocks(n, limit):
+    # neither holds an n x n array: 4 MB at n = 1024 and 67 MB at 4096 in
+    # int32; the sampled bound takes more cells here than lists ever do
     sigma = random_permutation(n, 89)
     for call in (lambda s: sampled_discrepancy_lower_bound(s, 8, 3), restricted_discrepancies):
         tracemalloc.start()
@@ -548,18 +554,23 @@ small_perms = st.integers(1, 8).flatmap(
     lambda n: st.permutations(range(n)).map(Permutation))
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+# numpy_pays is set once per test, and every example reads it alike
+with_numpy_pays = settings(derandomize=True, max_examples=60, deadline=None,
+                           suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@with_numpy_pays
 @given(small_perms)
-def test_discrepancy_invariant_under_inverse(sigma):
+def test_discrepancy_invariant_under_inverse(numpy_pays, sigma):
     expected = brute_perm_discrepancy(sigma)
     assert perm_discrepancy(sigma).scaled_D == expected
     assert perm_discrepancy(sigma.inverse()).scaled_D == expected
     assert brute_perm_discrepancy(sigma.inverse()) == expected
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@with_numpy_pays
 @given(small_perms, st.integers(0, 7), st.integers(0, 7))
-def test_discrepancy_invariant_under_rotation(sigma, a, b):
+def test_discrepancy_invariant_under_rotation(numpy_pays, sigma, a, b):
     n = sigma.n
     rotated = Permutation(tuple((sigma((x + a) % n) + b) % n for x in range(n)))
     scaled = perm_discrepancy(sigma).scaled_D
@@ -576,9 +587,9 @@ def test_initial_and_final_restrictions_agree(sigma):
     assert d == dp == brute_restricted_max(sigma, prefix=True)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@with_numpy_pays
 @given(small_perms, st.integers(0, 20), st.integers(0, 10 ** 6))
-def test_sampled_bound_never_exceeds_discrepancy(sigma, samples, seed):
+def test_sampled_bound_never_exceeds_discrepancy(numpy_pays, sigma, samples, seed):
     low = sampled_discrepancy_lower_bound(sigma, samples, seed)
     assert 0 <= low <= brute_perm_discrepancy(sigma)
 
