@@ -12,7 +12,6 @@ import os
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from math import factorial
 from operator import sub
 from typing import Optional, Sequence
 
@@ -150,7 +149,11 @@ def inversion_distribution(n: int) -> InversionDistribution:
     Step i multiplies by 1 + q + ... + q^(i-1) = (1 - q^i) / (1 - q) and
     takes the degree from d to d + i - 1.  The new lower half, up to index
     (d + i - 1) // 2 <= d, reads the old coefficients only up to that
-    index; those past the old half are its mirror image."""
+    index; those past the old half are its mirror image.
+
+    Step i adds a uniform 0..i-1 inversions, independent of the others, so
+    the mean and variance are the sums of (i - 1)/2 and (i^2 - 1)/12:
+    n(n - 1)/4 and n(n - 1)(2n + 5)/72."""
     if not 1 <= n <= 200:
         raise InputError("size must be in 1..200")
     half, degree = [1], 0
@@ -159,10 +162,8 @@ def inversion_distribution(n: int) -> InversionDistribution:
         half = list(accumulate(map(sub, low, [0] * i + low)))
         degree += i - 1
     coeffs = half + half[:(degree + 1) // 2][::-1]
-    total = factorial(n)
-    mean = Fraction(sum(i * c for i, c in enumerate(coeffs)), total)
-    second = Fraction(sum(i * i * c for i, c in enumerate(coeffs)), total)
-    return InversionDistribution(n, tuple(coeffs), mean, second - mean * mean)
+    return InversionDistribution(n, tuple(coeffs), Fraction(n * (n - 1), 4),
+                                 Fraction(n * (n - 1) * (2 * n + 5), 72))
 
 
 class DiscrepancySample(Record):

@@ -150,7 +150,10 @@ class CyclicInterval(Record):
 
 
 class ZnSubset(Record):
-    """A subset of Z_n, stored as a frozenset of residues."""
+    """A subset of Z_n, stored as a frozenset of residues.
+
+    The constructor checks every member; parse_set, which has checked
+    them already, builds by _trusted."""
 
     __slots__ = ("n", "members")
     n: int
@@ -165,6 +168,15 @@ class ZnSubset(Record):
                 raise InputError(f"element {x} not a residue mod {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
+
+    @classmethod
+    def _trusted(cls, n: int, members: frozenset) -> "ZnSubset":
+        """The subset of Z_n with these members, a frozenset known to hold
+        residues of a positive n only, built without the check."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "n", n)
+        object.__setattr__(s, "members", members)
+        return s
 
     @classmethod
     def from_elements(cls, n: int, elements: Iterable[int]) -> "ZnSubset":
@@ -432,7 +444,7 @@ def parse_set(text: str) -> ZnSubset:
     members = frozenset(elements)
     if len(members) != len(elements):
         raise InputError("repeated element in set")
-    return ZnSubset(n, members)
+    return ZnSubset._trusted(n, members)
 
 
 def serialize_set(s: ZnSubset) -> str:

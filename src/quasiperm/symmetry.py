@@ -15,7 +15,8 @@ from .patterns import layout, pack, profile, push, push_work, unpack
 
 EXHAUSTIVE_SIZE_LIMIT = 10
 MAX_SEARCH_SIZE = 512
-# entries of the order-2 subtree table; (9, 2) has at most 2**9 * 37 states
+# entries of the order-2 subtree table, each a tuple of four ints; (9, 2)
+# has at most 2**9 * 37 states
 ORDER2_TABLE_CAP = 1 << 16
 
 
@@ -106,13 +107,17 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
     At m = 2 the counts a value adds depend only on the prefix's value set,
     and the prune reads only the inversion count, so a subtree is fixed by
     that (value set, inversion count) state.  `merged` maps each state
-    searched to its subtree's node count and the suffixes of its
-    solutions, which every other prefix that reaches the state reuses.  It
-    stops taking entries at ORDER2_TABLE_CAP, which bounds its memory at
-    large n; orders m >= 3 keep no table, since their prefixes rarely share
-    a state.
+    searched to its subtree, which every other prefix that reaches the
+    state reuses.  It stops taking entries at ORDER2_TABLE_CAP, which
+    bounds its memory at large n; orders m >= 3 keep no table, since their
+    prefixes rarely share a state.
 
-    A budget that would run out inside a mirrored or reused subtree has it
+    Both shortcuts keep a subtree as its work, its push work and the range
+    [lo, hi) of its solutions in `found`, which holds each solution once and
+    is built in increasing order: values are tried in increasing order, a
+    reused state repeats its suffixes in their stored order, and a mirror
+    takes its range last first, as the complement reverses that order.  A
+    budget that would run out inside a mirrored or reused subtree has it
     searched for real, so the search stops at exactly the node it would
     stop at without either shortcut, with the same solutions found.
     """
@@ -169,13 +174,12 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
             if mask >> v & 1:
                 continue
             if fixed:
-                if n - 1 - v in mirror:
-                    size, push_size, solutions = mirror[n - 1 - v]
-                    if work + size <= limit:
-                        work += size
-                        pushed += push_size
-                        found.extend(_complements(n, solutions))
-                        continue
+                entry = mirror.get(n - 1 - v)
+                if entry is not None and work + entry[0] <= limit:
+                    work += entry[0]
+                    pushed += entry[1]
+                    found.extend(_complements(n, found, entry[2], entry[3]))
+                    continue
                 start, start_pushed, first = work, pushed, len(found)
             work += 1
             if work > limit:
@@ -189,8 +193,8 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
                     entry = merged.get(key)
                 if entry is not None and work + entry[0] <= limit:
                     work += entry[0]
-                    if entry[1]:
-                        found.extend(_completions(prefix, v, entry[1]))
+                    if entry[2] < entry[3]:
+                        found.extend(_completions(prefix, v, found, entry[2], entry[3]))
                 else:
                     before, count = work, len(found)
                     child = diff.copy()
@@ -199,9 +203,9 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
                     work = extend(depth + 1, mask | 1 << v, y, child, work + cost[depth])
                     prefix.pop()
                     if key is not None and len(merged) < ORDER2_TABLE_CAP:
-                        merged[key] = (work - before, _suffixes(found, count, depth + 1))
+                        merged[key] = (work - before, 0, count, len(found))
             if fixed:
-                mirror[v] = (work - start, pushed - start_pushed, found[first:])
+                mirror[v] = (work - start, pushed - start_pushed, first, len(found))
         return work
 
     try:
@@ -212,7 +216,6 @@ def search_perfect(n: int, m: int, budget: Optional[int] = None) -> SymmetrySear
         # extend holds itself in its closure: break the cycle, and free the
         # tables before the solutions are copied
         del extend, merged
-    found.sort()
     return SymmetrySearchResult(n, m, [Permutation._trusted(p) for p in found], nodes, exhaustive)
 
 
@@ -253,14 +256,10 @@ class _BudgetExceeded(Exception):
 
 # Module-level, not comprehensions in extend: a comprehension there would
 # turn the locals it reads into cells and slow the whole node loop.
-def _complements(n: int, solutions: list) -> list:
-    return [tuple(n - 1 - x for x in p) for p in solutions]
+def _complements(n: int, found: list, lo: int, hi: int) -> list:
+    return [tuple(n - 1 - x for x in p) for p in reversed(found[lo:hi])]
 
 
-def _completions(prefix: list, v: int, suffixes: tuple) -> list:
-    head = tuple(prefix) + (v,)
-    return [head + s for s in suffixes]
-
-
-def _suffixes(found: list, first: int, cut: int) -> tuple:
-    return tuple(p[cut:] for p in found[first:])
+def _completions(prefix: list, v: int, found: list, lo: int, hi: int) -> list:
+    head = (*prefix, v)
+    return [head + p[len(head):] for p in found[lo:hi]]

@@ -169,10 +169,14 @@ def test_inversion_distribution_halves_equal_the_full_recurrence():
 
 def test_inversion_distribution_moments():
     for n in (5, 12, 30, 120, 200):
+        # the closed forms against the moments of the counts themselves
         dist = inversion_distribution(n)
-        assert dist.mean == Fraction(n * (n - 1), 4)
-        assert dist.variance == Fraction(n * (n - 1) * (2 * n + 5), 72)
-        assert sum(dist.counts) == math.factorial(n)
+        total = sum(dist.counts)
+        assert total == math.factorial(n)
+        mean = Fraction(sum(i * c for i, c in enumerate(dist.counts)), total)
+        second = Fraction(sum(i * i * c for i, c in enumerate(dist.counts)), total)
+        assert dist.mean == mean == Fraction(n * (n - 1), 4)
+        assert dist.variance == second - mean * mean == Fraction(n * (n - 1) * (2 * n + 5), 72)
 
 
 def test_inversion_distribution_symmetric_unimodal():

@@ -95,6 +95,16 @@ def test_parse_set_roundtrip_and_errors(numpy_pays):
         parse_set("10: 3 3")
 
 
+def test_a_subset_built_from_outside_is_still_checked():
+    # parse_set checks its elements once, in its own loop, and builds
+    # without a second check; the constructor keeps its own
+    for bad in (10, -1, 2**70):
+        with pytest.raises(InputError, match=f"element {bad} not a residue mod 10"):
+            ZnSubset(10, frozenset({3, bad}))
+    s = parse_set("10: 9 0 3")
+    assert type(s) is ZnSubset and s == ZnSubset(10, frozenset({0, 3, 9}))
+
+
 def test_parse_set_modulus_limit_raises_before_allocating(numpy_pays):
     assert parse_set(f"{MAX_SET_MODULUS}: 0 7").size == 2
     tracemalloc.start()

@@ -464,3 +464,17 @@ def test_exhaustive_size_limit_is_admitted_at_its_value():
     assert search_perfect(10, 2) == SymmetrySearchResult(10, 2, [], 0, True)
     with pytest.raises(InputError, match="n=11 exceeds the exhaustive limit 10"):
         search_perfect(11, 2)
+
+
+def test_order2_search_keeps_each_solution_once():
+    # the mirror and the order-2 table keep index ranges into the found
+    # list, not copies of their subtrees' solutions (traced peak 4.9 MiB on
+    # CPython 3.11)
+    tracemalloc.start()
+    try:
+        res = search_perfect(9, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.found) == 29_228
+    assert peak < 6 << 20
